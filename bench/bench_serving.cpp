@@ -1,7 +1,8 @@
 // Throughput and latency of the in-process serving layer
 // (serve::ToneMapService) versus shard count: a fixed multi-client
 // workload is replayed at shard counts 1, 2 and 4, and one oversized
-// frame is replayed at blur-shard counts 1, 2 and 4. A third mode
+// frame is replayed at 1, 2 and 4 threads (row bands inside its blur). A
+// third mode
 // measures behaviour under overload: per-job service time is calibrated
 // first, then bursts of 1x / 2x / 4x the base workload — alternating
 // best_effort and standard QoS, every job deadlined — are offered to a
@@ -63,10 +64,9 @@ struct RunResult {
 };
 
 /// Replay `jobs` jobs from each of `clients` threads through a service
-/// with `shards` shards; every job carries `blur_shards`. `pool_bytes`
-/// is the service's plane-pool bound (0 = unpooled).
+/// with `shards` shards; every job carries `popt`. `pool_bytes` is the
+/// service's plane-pool bound (0 = unpooled).
 RunResult run_workload(int shards, int depth, int clients, int jobs,
-                       int blur_shards,
                        const tonemap::PipelineOptions& popt,
                        const std::vector<img::ImageF>& frames,
                        std::size_t pool_bytes =
@@ -95,7 +95,6 @@ RunResult run_workload(int shards, int depth, int clients, int jobs,
         job.frame = frames[static_cast<std::size_t>(c * jobs + j) %
                            frames.size()];
         job.options = popt;
-        job.blur_shards = blur_shards;
         submitted.push_back(Clock::now());
         futures.push_back(service.submit(std::move(job)));
       }
@@ -403,7 +402,7 @@ int main(int argc, char** argv) {
         RunResult best;
         for (int r = 0; r < reps; ++r) {
           const RunResult run = run_workload(
-              2, depth, clients, jobs, 1, popt, frames,
+              2, depth, clients, jobs, popt, frames,
               pooled ? img::PlanePool::kDefaultMaxRetainedBytes : 0);
           if (best.seconds == 0.0 || run.seconds < best.seconds) best = run;
         }
@@ -442,8 +441,8 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    TextTable table({"mode", "shards", "jobs", "total (s)", "jobs/s",
-                     "p50 (ms)", "p99 (ms)", "vs 1 shard"});
+    TextTable table({"mode", "shards/threads", "jobs", "total (s)",
+                     "jobs/s", "p50 (ms)", "p99 (ms)", "vs 1"});
 
     // Mode 1: many independent whole-frame jobs vs service shard count.
     double one_shard_s = 0.0;
@@ -451,7 +450,7 @@ int main(int argc, char** argv) {
       RunResult best;
       for (int r = 0; r < reps; ++r) {
         const RunResult run =
-            run_workload(shards, depth, clients, jobs, 1, popt, frames);
+            run_workload(shards, depth, clients, jobs, popt, frames);
         if (best.seconds == 0.0 || run.seconds < best.seconds) best = run;
       }
       if (shards == 1) one_shard_s = best.seconds;
@@ -486,29 +485,31 @@ int main(int argc, char** argv) {
           .emit();
     }
 
-    // Mode 2: one oversized frame, mask blur sharded across executors.
-    double one_band_s = 0.0;
-    for (int blur_shards : {1, 2, 4}) {
+    // Mode 2: one oversized frame, its blur split into row bands by the
+    // planner at 1, 2 and 4 threads.
+    double one_thread_s = 0.0;
+    for (int threads : {1, 2, 4}) {
+      tonemap::PipelineOptions frame_popt = popt;
+      frame_popt.threads = threads;
       RunResult best;
       for (int r = 0; r < reps; ++r) {
         const RunResult run =
-            run_workload(1, 1, 1, 2, blur_shards, popt, {big_frame});
+            run_workload(1, 1, 1, 2, frame_popt, {big_frame});
         if (best.seconds == 0.0 || run.seconds < best.seconds) best = run;
       }
-      if (blur_shards == 1) one_band_s = best.seconds;
+      if (threads == 1) one_thread_s = best.seconds;
       const double speedup =
-          best.seconds > 0.0 ? one_band_s / best.seconds : 0.0;
-      table.add_row({"sharded_frame", std::to_string(blur_shards), "2",
+          best.seconds > 0.0 ? one_thread_s / best.seconds : 0.0;
+      table.add_row({"frame_threads", std::to_string(threads), "2",
                      format_fixed(best.seconds, 4),
                      format_fixed(2.0 / best.seconds, 2),
                      format_fixed(best.p50_s * 1e3, 2),
                      format_fixed(best.p99_s * 1e3, 2),
                      format_fixed(speedup, 2)});
       benchkit::JsonRecord record("serving");
-      record.field("mode", "sharded_frame")
+      record.field("mode", "frame_threads")
           .field("backend", backend)
-          .field("threads", popt.threads)
-          .field("blur_shards", blur_shards)
+          .field("threads", threads)
           .field("jobs_total", 2)
           .field("width", big_size)
           .field("height", big_size)
@@ -517,7 +518,7 @@ int main(int argc, char** argv) {
           .field("jobs_per_s", 2.0 / best.seconds)
           .field("latency_p50_ms", best.p50_s * 1e3)
           .field("latency_p99_ms", best.p99_s * 1e3)
-          .field("speedup_vs_1shard", speedup)
+          .field("speedup_vs_1thread", speedup)
           .field("allocs_per_job", best.allocs_per_job)
           .field("pool_hit_rate", best.pool_hit_rate)
           .emit();

@@ -2,7 +2,7 @@
 // in-process serve::ToneMapService, collect the futures, and check the
 // serving layer's core guarantee — every result is bit-identical to the
 // blocking tonemap::tone_map() under that job's own options, whatever the
-// shard count, pipeline depth or per-frame blur sharding.
+// shard count, pipeline depth or per-frame thread count.
 //
 // This file doubles as the compilable excerpt behind docs/serving.md; the
 // CI docs job builds it so the guide cannot rot.
@@ -40,7 +40,7 @@ int main() {
     job.frame = io::generate_hdr_scene(io::SceneKind::window_interior, 96,
                                        96, 2018u + static_cast<unsigned>(i));
     job.options = i < 4 ? fast : fixed;
-    if (i == 3) job.blur_shards = 2; // shard this frame's blur across executors
+    if (i == 3) job.options.threads = 2; // split this frame's blur into 2 row bands
     batch.push_back(std::move(job));
   }
 

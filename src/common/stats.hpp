@@ -1,8 +1,8 @@
 // common::StatsSnapshot — the one key/value interface every layer's
-// statistics flow through. The stack grew five stats structs
+// statistics flow through. The stack grew several stats structs
 // (serve::ServiceStats, transport::ServerStats, stream's
-// SessionManagerStats, img::PoolStats, exec::ExecutorPoolStats), each with
-// its own hand-rolled CLI table and bench-JSONL spelling; snapshot()
+// SessionManagerStats, img::PoolStats), each with its own hand-rolled
+// CLI table and bench-JSONL spelling; snapshot()
 // adapters in each layer now flatten them into this form, so the CLI
 // renders every layer with one serializer (render_stats_table) and the
 // benches append them to JSONL records with one helper. The typed structs

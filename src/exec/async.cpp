@@ -1,6 +1,5 @@
 #include "exec/async.hpp"
 
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,9 +11,6 @@
 namespace tmhls::exec {
 
 void validate(const AsyncExecutorOptions& options) {
-  TMHLS_REQUIRE(options.workers >= 1,
-                "AsyncExecutorOptions::workers must be >= 1, got " +
-                    std::to_string(options.workers));
   TMHLS_REQUIRE(options.queue_capacity >= 1,
                 "AsyncExecutorOptions::queue_capacity must be >= 1, got " +
                     std::to_string(options.queue_capacity));
@@ -25,22 +21,7 @@ AsyncExecutor::AsyncExecutor(PipelineExecutor executor,
     : executor_(std::move(executor)), options_(options),
       inherited_recycler_(img::detail::current_recycler()) {
   validate(options_);
-  workers_.reserve(static_cast<std::size_t>(options_.workers));
-  try {
-    for (int i = 0; i < options_.workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  } catch (...) {
-    // Thread spawn failure: release the workers already running, then
-    // rethrow — a half-built pool must not leak threads.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    queue_not_empty_.notify_all();
-    for (std::thread& w : workers_) w.join();
-    throw;
-  }
+  worker_ = std::thread([this] { worker_loop(); });
 }
 
 AsyncExecutor::~AsyncExecutor() {
@@ -50,7 +31,7 @@ AsyncExecutor::~AsyncExecutor() {
   }
   queue_not_empty_.notify_all();
   queue_not_full_.notify_all();
-  for (std::thread& w : workers_) w.join();
+  worker_.join();
 }
 
 std::future<img::ImageF> AsyncExecutor::submit(BlurRequest request) {
@@ -67,31 +48,15 @@ std::future<img::ImageF> AsyncExecutor::submit(BlurRequest request) {
     Task task{std::move(request), std::promise<img::ImageF>{}};
     future = task.promise.get_future();
     queue_.push_back(std::move(task));
-    ++submitted_;
   }
   queue_not_empty_.notify_one();
   return future;
 }
 
-std::size_t AsyncExecutor::in_flight() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + running_;
-}
-
-AsyncExecutorStats AsyncExecutor::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  AsyncExecutorStats s;
-  s.queued = queue_.size();
-  s.running = running_;
-  s.submitted = submitted_;
-  s.completed = completed_;
-  return s;
-}
-
 void AsyncExecutor::worker_loop() {
-  // Workers run under the plane-pool scope of the thread that built this
-  // executor, so blur results allocate from the same pool as every other
-  // plane of that pipeline/shard (see inherited_recycler_).
+  // The worker runs under the plane-pool scope of the thread that built
+  // this executor, so blur results allocate from the same pool as every
+  // other plane of that pipeline/shard (see inherited_recycler_).
   const img::detail::ScopedRecycler pool_scope(inherited_recycler_);
   for (;;) {
     std::optional<Task> task;
@@ -104,139 +69,19 @@ void AsyncExecutor::worker_loop() {
       if (queue_.empty()) return;
       task.emplace(std::move(queue_.front()));
       queue_.pop_front();
-      ++running_;
     }
     queue_not_full_.notify_one();
-    // Counters retire BEFORE the promise is satisfied (the service-layer
-    // convention): a caller whose future.get() returned must also observe
-    // the request counted completed in stats().
-    bool retired = false;
-    const auto retire = [this, &retired] {
-      if (retired) return;
-      retired = true;
-      std::lock_guard<std::mutex> lock(mutex_);
-      --running_;
-      ++completed_;
-    };
     try {
       // Fault site "exec.async.task": a delay stalls this executor with
-      // the task counted as running (the stalled-executor scenario); a
-      // throw surfaces through the task's future like any blur error.
+      // the task picked up (the stalled-executor scenario); a throw
+      // surfaces through the task's future like any blur error.
       fault::inject("exec.async.task");
-      img::ImageF result =
-          executor_.blur(task->request.intensity, task->request.kernel);
-      retire();
-      task->promise.set_value(std::move(result));
+      task->promise.set_value(
+          executor_.blur(task->request.intensity, task->request.kernel));
     } catch (...) {
-      retire();
       task->promise.set_exception(std::current_exception());
     }
   }
-}
-
-void validate(const ExecutorPoolOptions& options) {
-  TMHLS_REQUIRE(options.executors >= 1,
-                "ExecutorPoolOptions::executors must be >= 1, got " +
-                    std::to_string(options.executors));
-  validate(options.per_executor);
-}
-
-ExecutorPool::ExecutorPool(const PipelineExecutor& prototype,
-                           ExecutorPoolOptions options)
-    : options_(options) {
-  validate(options_);
-  shards_.reserve(static_cast<std::size_t>(options_.executors));
-  for (int i = 0; i < options_.executors; ++i) {
-    shards_.push_back(
-        std::make_unique<AsyncExecutor>(prototype, options_.per_executor));
-  }
-}
-
-std::future<img::ImageF> ExecutorPool::submit(BlurRequest request) {
-  const std::size_t rotation =
-      next_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  std::size_t shard = rotation;
-  if (options_.routing == PoolRouting::least_loaded && shards_.size() > 1) {
-    // Take the shard with the fewest outstanding requests among those
-    // with a free queue slot (falling back to the overall fewest when
-    // every queue is full, where submit() blocking IS the backpressure);
-    // scanning from the rotation position makes ties fall back to
-    // round-robin. The slot check keeps concurrent submitters that
-    // snapshot the same loads from herding onto one shard and blocking
-    // there while others idle.
-    const auto capacity =
-        static_cast<std::size_t>(options_.per_executor.queue_capacity);
-    std::size_t best_any = rotation;
-    std::size_t best_any_load = std::numeric_limits<std::size_t>::max();
-    std::size_t best_free = rotation;
-    std::size_t best_free_load = std::numeric_limits<std::size_t>::max();
-    bool any_free = false;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::size_t index = (rotation + i) % shards_.size();
-      const AsyncExecutorStats stats = shards_[index]->stats();
-      const std::size_t load = stats.queued + stats.running;
-      if (load < best_any_load) {
-        best_any_load = load;
-        best_any = index;
-      }
-      if (stats.queued < capacity && load < best_free_load) {
-        best_free_load = load;
-        best_free = index;
-        any_free = true;
-      }
-    }
-    shard = any_free ? best_free : best_any;
-  }
-  return shards_[shard]->submit(std::move(request));
-}
-
-AsyncExecutor& ExecutorPool::shard(int index) {
-  TMHLS_REQUIRE(index >= 0 && index < shards(),
-                "ExecutorPool::shard index out of range: " +
-                    std::to_string(index));
-  return *shards_[static_cast<std::size_t>(index)];
-}
-
-std::size_t ExecutorPool::in_flight() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->in_flight();
-  return total;
-}
-
-ExecutorPoolStats ExecutorPool::stats() const {
-  ExecutorPoolStats s;
-  s.per_shard.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    s.per_shard.push_back(shard->stats());
-    const AsyncExecutorStats& ss = s.per_shard.back();
-    s.queued += ss.queued;
-    s.running += ss.running;
-    s.submitted += ss.submitted;
-    s.completed += ss.completed;
-  }
-  return s;
-}
-
-std::vector<common::StatsSnapshot> snapshot(const ExecutorPoolStats& stats) {
-  std::vector<common::StatsSnapshot> out;
-  common::StatsSnapshot total;
-  total.scope = "executor_pool";
-  total.counter("queued", stats.queued);
-  total.counter("running", stats.running);
-  total.counter("submitted", stats.submitted);
-  total.counter("completed", stats.completed);
-  out.push_back(std::move(total));
-  for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
-    const AsyncExecutorStats& row = stats.per_shard[i];
-    common::StatsSnapshot shard;
-    shard.scope = "executor_pool.shard" + std::to_string(i);
-    shard.counter("queued", row.queued);
-    shard.counter("running", row.running);
-    shard.counter("submitted", row.submitted);
-    shard.counter("completed", row.completed);
-    out.push_back(std::move(shard));
-  }
-  return out;
 }
 
 } // namespace tmhls::exec

@@ -1,25 +1,17 @@
 // Asynchronous request/future execution on top of PipelineExecutor — the
 // host-side analogue of the paper's DMA/PL overlap: a submit() hands the
-// mask blur to an owned worker pool and returns immediately, so the
+// mask blur to an owned worker thread and returns immediately, so the
 // caller's thread can run the point-wise PS stages of the next frame while
-// the blur of the previous one is in flight (tonemap::FramePipeline), and
-// a serving front can keep many requests moving at once (ExecutorPool —
-// which serve::ToneMapService uses to shard one oversized frame's blur
-// across executors by row bands).
+// the blur of the previous one is in flight (tonemap::FramePipeline).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
-#include "common/stats.hpp"
 #include "exec/executor.hpp"
 
 namespace tmhls::img::detail {
@@ -35,57 +27,38 @@ struct BlurRequest {
   tonemap::GaussianKernel kernel;
 };
 
-/// A consistent snapshot of one AsyncExecutor's queue and lifetime
-/// counters — the introspection surface serving layers size shard counts
-/// and report load from. All four values are read under one lock, so
-/// `queued + running == submitted - completed` holds within a snapshot.
-struct AsyncExecutorStats {
-  /// Requests accepted by submit() but not yet picked up by a worker.
-  std::size_t queued = 0;
-  /// Requests a worker is currently executing.
-  std::size_t running = 0;
-  /// Lifetime count of accepted requests.
-  std::uint64_t submitted = 0;
-  /// Lifetime count of finished requests (successes and errors alike —
-  /// a request whose backend threw still counts as completed, because its
-  /// future has been satisfied). Advances before the future becomes
-  /// ready, so a caller that observed a result also observes it counted.
-  std::uint64_t completed = 0;
-};
-
-/// Configuration of an AsyncExecutor's worker pool and admission queue.
+/// Configuration of an AsyncExecutor's admission queue. There is always
+/// exactly one worker: blurs run in submission order — the model of the
+/// paper's single accelerator; each blur may still be internally
+/// multi-threaded via ExecutorOptions::threads.
 struct AsyncExecutorOptions {
-  /// Worker threads draining the queue. 1 (the default) serialises blurs
-  /// in submission order — the model of the paper's single accelerator;
-  /// each blur may still be internally multi-threaded via
-  /// ExecutorOptions::threads.
-  int workers = 1;
-  /// Bound on requests waiting in the queue (not yet picked up by a
+  /// Bound on requests waiting in the queue (not yet picked up by the
   /// worker). submit() blocks when the queue is full — backpressure
   /// instead of unbounded buffering.
   int queue_capacity = 8;
 };
 
 /// Validation of AsyncExecutorOptions: throws InvalidArgument naming the
-/// offending field unless workers >= 1 and queue_capacity >= 1.
+/// offending field unless queue_capacity >= 1.
 void validate(const AsyncExecutorOptions& options);
 
 /// An executor with an asynchronous submit/future interface: requests are
-/// queued (bounded) and executed by owned worker threads on the wrapped
+/// queued (bounded) and executed by one owned worker thread on the wrapped
 /// PipelineExecutor. Every future obtained from submit() becomes ready
 /// eventually — the destructor completes all accepted requests before
 /// returning, so destroying an AsyncExecutor with work in flight is safe.
 ///
 /// Thread safety: submit() may be called from any number of threads
-/// concurrently. The wrapped PipelineExecutor is used concurrently by the
-/// workers; executors are immutable after construction, and the backends'
-/// run_blur is const and stateless, so this is safe by construction.
+/// concurrently. The wrapped PipelineExecutor is used by the worker while
+/// callers may use it too; executors are immutable after construction, and
+/// the backends' run_blur is const and stateless, so this is safe by
+/// construction.
 class AsyncExecutor {
 public:
   explicit AsyncExecutor(PipelineExecutor executor,
                          AsyncExecutorOptions options = {});
-  /// Completes every accepted request (workers drain the queue), then
-  /// joins the pool.
+  /// Completes every accepted request (the worker drains the queue), then
+  /// joins the worker.
   ~AsyncExecutor();
 
   AsyncExecutor(const AsyncExecutor&) = delete;
@@ -96,16 +69,9 @@ public:
   /// beyond its static bound) is delivered through the future.
   std::future<img::ImageF> submit(BlurRequest request);
 
-  /// The synchronous executor the workers run requests on.
+  /// The synchronous executor the worker runs requests on.
   const PipelineExecutor& executor() const { return executor_; }
   const AsyncExecutorOptions& options() const { return options_; }
-
-  /// Requests accepted but not yet completed (queued + running).
-  std::size_t in_flight() const;
-
-  /// One consistent snapshot of queue depth and lifetime counters.
-  /// Thread-safe; may be called concurrently with submit().
-  AsyncExecutorStats stats() const;
 
 private:
   struct Task {
@@ -118,100 +84,18 @@ private:
   PipelineExecutor executor_;
   AsyncExecutorOptions options_;
   /// The creating thread's plane recycler, snapshotted at construction
-  /// and re-installed in every worker: blur outputs allocated by the pool
+  /// and re-installed in the worker: blur outputs allocated by the pool
   /// behind a FramePipeline or service shard stay pool-backed even though
-  /// they materialise on this executor's own threads. Null when the
+  /// they materialise on this executor's own thread. Null when the
   /// creating thread was unpooled.
   std::shared_ptr<img::detail::PlaneRecycler> inherited_recycler_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable queue_not_empty_;
   std::condition_variable queue_not_full_;
   std::deque<Task> queue_;
-  std::size_t running_ = 0; ///< tasks popped by a worker, not yet finished
-  std::uint64_t submitted_ = 0; ///< lifetime accepted requests
-  std::uint64_t completed_ = 0; ///< lifetime finished requests
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
-/// How an ExecutorPool picks the shard for each submitted request.
-enum class PoolRouting {
-  /// Strict rotation by submission index. Deterministic placement; the
-  /// right choice when requests are uniform (and what the pool's tests
-  /// pin down).
-  round_robin,
-  /// Route to the shard with the fewest queued + running requests
-  /// (snapshot via AsyncExecutor::stats()), scanning from the rotation
-  /// position so equal loads keep the round-robin spread. The right
-  /// choice when request costs vary — a shard stuck behind a big blur
-  /// stops receiving new work until it catches up.
-  least_loaded,
-};
-
-/// Configuration of an ExecutorPool.
-struct ExecutorPoolOptions {
-  /// Number of AsyncExecutor shards. Each shard owns its worker pool and
-  /// queue, so `executors * per_executor.workers` blurs can run at once.
-  int executors = 2;
-  /// Options applied to every shard.
-  AsyncExecutorOptions per_executor;
-  /// Shard selection policy for submit().
-  PoolRouting routing = PoolRouting::round_robin;
-};
-
-/// Validation of ExecutorPoolOptions: throws InvalidArgument naming the
-/// offending field unless executors >= 1 (per_executor is validated too).
-void validate(const ExecutorPoolOptions& options);
-
-/// Aggregated + per-shard statistics of an ExecutorPool. `per_shard[i]` is
-/// shard i's own snapshot; the scalar fields are their sums. Shards are
-/// snapshotted one after another (there is no pool-wide lock), so the
-/// totals are exact per shard but only approximately simultaneous across
-/// shards — fine for load reporting, not for lock-free coordination.
-struct ExecutorPoolStats {
-  std::vector<AsyncExecutorStats> per_shard;
-  std::size_t queued = 0;
-  std::size_t running = 0;
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-};
-
-/// Flatten into the common reporting form: one "executor_pool" snapshot of
-/// the sums, then one "executor_pool.shardN" snapshot per shard.
-std::vector<common::StatsSnapshot> snapshot(const ExecutorPoolStats& stats);
-
-/// The serving-front seam: shards concurrent blur requests round-robin
-/// across several AsyncExecutors, each a copy of one prototype
-/// PipelineExecutor. Callers that fan many independent blurs out
-/// (serve::sharded_mask_blur splitting one frame into row bands, batch
-/// request fan-in) submit here and collect futures; completion order
-/// across shards is unordered — order, when needed, is the caller's (or
-/// the serving layer's) concern.
-class ExecutorPool {
-public:
-  explicit ExecutorPool(const PipelineExecutor& prototype,
-                        ExecutorPoolOptions options = {});
-
-  /// Enqueue a blur on the next shard (round-robin). Thread-safe.
-  std::future<img::ImageF> submit(BlurRequest request);
-
-  int shards() const { return static_cast<int>(shards_.size()); }
-  AsyncExecutor& shard(int index);
-  const ExecutorPoolOptions& options() const { return options_; }
-
-  /// Requests accepted but not yet completed, summed over all shards.
-  std::size_t in_flight() const;
-
-  /// Per-shard snapshots plus their sums (see ExecutorPoolStats for the
-  /// consistency caveat). Thread-safe; serving layers poll this to report
-  /// queue depths and per-shard job counts.
-  ExecutorPoolStats stats() const;
-
-private:
-  ExecutorPoolOptions options_;
-  std::vector<std::unique_ptr<AsyncExecutor>> shards_;
-  std::atomic<std::size_t> next_{0};
+  std::thread worker_;
 };
 
 } // namespace tmhls::exec

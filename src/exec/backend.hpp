@@ -69,10 +69,10 @@ struct BlurContext {
   int threads = 1;
   /// Row bands for the tiled decomposition; 0 (default) derives the band
   /// count from `threads`. A schedule-searched plan (exec::Planner) may
-  /// set more bands than threads: the tiled runner spawns one worker per
-  /// band, so extra bands oversubscribe — finer-grained load balancing
-  /// when the blur shares cores with the point-wise stages. Output bits
-  /// are identical at every band count (see exec/tiled.hpp).
+  /// set more bands than threads: exec::run_bands gives every band its
+  /// own thread, so extra bands oversubscribe — finer-grained load
+  /// balancing when the blur shares cores with the point-wise stages.
+  /// Output bits are identical at every band count (see exec/tiled.hpp).
   int bands = 0;
   /// For backends supporting both datapaths (hlscode): run the fixed-point
   /// one. Ignored by backends whose datapath is fixed by identity.

@@ -326,10 +326,6 @@ int CostModel::calibrate(const std::vector<ThroughputRecord>& records) {
   return static_cast<int>(best.size());
 }
 
-int CostModel::calibrate_from_jsonl(std::istream& in) {
-  return calibrate(parse_throughput_jsonl(in));
-}
-
 std::string CostModel::host_fingerprint() {
 #if defined(__x86_64__) || defined(_M_X64)
   const char* arch = "x86_64";
@@ -465,7 +461,7 @@ int CostModel::absorb_jsonl(std::istream& in) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   std::istringstream bench_pass(buffer.str());
-  int applied = calibrate_from_jsonl(bench_pass);
+  int applied = calibrate(parse_throughput_jsonl(bench_pass));
   std::istringstream snapshot_pass(buffer.str());
   applied += load_snapshot(snapshot_pass);
   return applied;

@@ -139,9 +139,6 @@ public:
   /// updated.
   int calibrate(const std::vector<ThroughputRecord>& records);
 
-  /// parse_throughput_jsonl + calibrate in one call.
-  int calibrate_from_jsonl(std::istream& in);
-
   // --- Persistence -----------------------------------------------------
 
   /// The fingerprint snapshots are keyed by: cpu architecture + logical

@@ -3,8 +3,8 @@
 // once and reused across frames — video and serving paths keep a
 // persistent executor instead of re-resolving the backend per frame.
 // This is the seam the scaling layers stack on: exec/async wraps it in a
-// submit/future worker pool (AsyncExecutor, ExecutorPool) and serve/
-// composes those into a frame-serving front with row-band blur sharding.
+// submit/future worker (AsyncExecutor) and serve/ composes FramePipeline
+// sessions over it into a frame-serving front.
 #pragma once
 
 #include <memory>
@@ -79,17 +79,5 @@ private:
   std::shared_ptr<const Backend> backend_;
   ExecutorOptions options_;
 };
-
-/// The cheapest capable backend for a blur request — what `--backend auto`
-/// resolves to. A thin wrapper over exec::Planner (the one place the
-/// ranking now lives; measured online EWMAs outrank analytic estimates,
-/// uncalibrated backends sort last, ties break by the registry's sorted
-/// name order). Kept for callers that only need the backend, not the full
-/// ExecutionPlan. Throws InvalidArgument when no registered backend can
-/// run the request.
-std::shared_ptr<const Backend> select_auto_backend(
-    int width, int height, const tonemap::GaussianKernel& kernel,
-    const ExecutorOptions& options = {},
-    const BackendRegistry& registry = BackendRegistry::global());
 
 } // namespace tmhls::exec

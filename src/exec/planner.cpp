@@ -1,11 +1,25 @@
 #include "exec/planner.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/error.hpp"
 #include "exec/cost_model.hpp"
 
 namespace tmhls::exec {
+
+namespace {
+
+/// `requested` clamped to the host's hardware threads; an unknown host
+/// (hardware_concurrency() == 0) leaves it unclamped. Read once: the query
+/// can cost a file read, and planning runs per frame.
+int host_threads(int requested) {
+  static const unsigned host = std::thread::hardware_concurrency();
+  return host == 0 ? requested
+                   : std::min(requested, static_cast<int>(host));
+}
+
+} // namespace
 
 const char* to_string(PlanDatapath datapath) {
   switch (datapath) {
@@ -48,13 +62,18 @@ CostModel& Planner::model() const {
   return model_ != nullptr ? *model_ : CostModel::global();
 }
 
-ExecutionPlan Planner::plan(const PlanRequest& request,
+ExecutionPlan Planner::plan(const PlanRequest& raw_request,
                             const tonemap::GaussianKernel& kernel) const {
-  TMHLS_REQUIRE(request.threads >= 1,
+  TMHLS_REQUIRE(raw_request.threads >= 1,
                 "PlanRequest::threads must be >= 1, got " +
-                    std::to_string(request.threads));
-  TMHLS_REQUIRE(request.width > 0 && request.height > 0,
+                    std::to_string(raw_request.threads));
+  TMHLS_REQUIRE(raw_request.width > 0 && raw_request.height > 0,
                 "PlanRequest: frame dimensions must be positive");
+  // More threads than the host has cores only adds spawn and scheduling
+  // cost (and bits never depend on the count), so every branch plans
+  // with the clamped value.
+  PlanRequest request = raw_request;
+  request.threads = host_threads(raw_request.threads);
   const std::string name =
       request.backend.empty() ? std::string("auto") : request.backend;
   if (name == "auto") return plan_auto(request, kernel);
@@ -125,7 +144,8 @@ ExecutionPlan Planner::plan_auto(const PlanRequest& request,
       BlurContext ctx;
       ctx.fixed = request.fixed;
       ctx.use_fixed = false;
-      ctx.threads = caps.tiled_threads ? std::max(1, routed->threads) : 1;
+      ctx.threads =
+          caps.tiled_threads ? host_threads(std::max(1, routed->threads)) : 1;
       ctx.bands = routed->bands;
       if (backend->can_run(kernel, ctx)) {
         ExecutionPlan plan;

@@ -1,5 +1,5 @@
 // exec::Planner — the one front door for execution planning. Everything
-// that used to be scattered across call sites (select_auto_backend ranking,
+// that used to be scattered across call sites (auto-backend ranking,
 // Backend::can_run capability gating, PipelineOptions::make_executor's
 // datapath snapping, per-layer thread clamping) now funnels through
 // Planner::plan(), which answers one question: for THIS frame geometry and
@@ -50,8 +50,9 @@ struct PlanRequest {
   /// an empty string) for cost-ranked selection.
   std::string backend = "auto";
   PlanDatapath datapath = PlanDatapath::unspecified;
-  /// Requested worker threads (the plan clamps to 1 for backends without
-  /// the tiled_threads capability). Must be >= 1.
+  /// Requested worker threads. The plan clamps them to the host's
+  /// hardware threads, and to 1 for backends without the tiled_threads
+  /// capability. Must be >= 1.
   int threads = 1;
   /// Fixed-point formats for fixed-datapath plans.
   tonemap::FixedBlurConfig fixed = tonemap::FixedBlurConfig::paper();
@@ -63,12 +64,12 @@ struct PlanRequest {
 /// (make_executor) or read the fields for reporting.
 struct ExecutionPlan {
   std::shared_ptr<const Backend> backend;
-  /// Effective worker threads (already clamped to the backend's
-  /// capabilities).
+  /// Effective worker threads (already clamped to the host's hardware
+  /// threads and to the backend's capabilities).
   int threads = 1;
   /// Row bands for the tiled blur decomposition; 0 derives the band count
-  /// from `threads` (the pre-schedule-search behaviour). The tiled runner
-  /// spawns one worker per band, so bands > threads oversubscribes —
+  /// from `threads` (the pre-schedule-search behaviour). exec::run_bands
+  /// gives every band its own thread, so bands > threads oversubscribes —
   /// finer bands load-balance better when the blur shares cores with the
   /// pipeline's point-wise stages. Output bits are band-invariant.
   int bands = 0;

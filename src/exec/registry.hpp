@@ -3,7 +3,7 @@
 // user's --backend string through it, and future PRs plug new strategies
 // (GPU, remote, cached) in by registering a factory. The name "auto" is
 // reserved: it selects the cheapest capable backend via
-// exec::select_auto_backend instead of naming one.
+// exec::Planner instead of naming one.
 #pragma once
 
 #include <functional>

@@ -1,78 +1,27 @@
 #include "exec/tiled.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "tonemap/blur_passes.hpp"
 
 namespace tmhls::exec {
 
 namespace {
 
-/// Run `work(band_index, barrier)` on `bands` worker threads; the barrier
-/// is the inter-pass halo exchange. Returns false if thread spawning was
-/// cut short by resource exhaustion — the computation's outputs are then
-/// invalid and the caller must redo the work (e.g. single-threaded).
-/// Otherwise the first exception thrown by any worker is rethrown here.
-template <typename Work>
-bool run_banded(int bands, Work&& work) {
-  std::barrier<> sync(bands);
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-
-  auto guarded = [&](int band) {
-    try {
-      work(band, sync);
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(failure_mutex);
-        if (!failure) failure = std::current_exception();
-      }
-      // Keep the barrier protocol alive so sibling workers do not deadlock
-      // waiting for this band's arrival; drop (never blocks) because the
-      // failure may already be past the barrier.
-      sync.arrive_and_drop();
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(bands));
-  try {
-    for (int b = 0; b < bands; ++b) {
-      workers.emplace_back(guarded, b);
-    }
-  } catch (const std::system_error&) {
-    // Substitute an arrival for every band that never spawned so the
-    // spawned workers can pass the barrier (reading zero-initialised halo
-    // rows — harmless, the result is discarded) and exit.
-    for (int b = static_cast<int>(workers.size()); b < bands; ++b) {
-      sync.arrive_and_drop();
-    }
-    for (std::thread& t : workers) t.join();
-    return false;
-  }
-  for (std::thread& t : workers) t.join();
-  if (failure) std::rethrow_exception(failure);
-  return true;
-}
-
-int clamp_bands(int threads, int rows) {
-  TMHLS_REQUIRE(threads >= 1, "tiled blur: threads must be >= 1");
-  return std::min({threads, rows, kMaxTiledBands});
-}
-
 /// One horizontal or vertical float row-range pass (scalar or SIMD form).
 using FloatRowPass = void (*)(const img::ImageF&, img::ImageF&,
                               const tonemap::GaussianKernel&, int, int);
 
 /// The shared band scaffolding of the float blur: both the scalar and the
-/// SIMD backends run the identical decomposition, halo exchange and
-/// fallback, differing only in which pass primitives process the bands.
+/// SIMD backends run the identical decomposition and halo exchange,
+/// differing only in which pass primitives process the bands.
 img::ImageF blur_tiled_float_with(const img::ImageF& src,
                                   const tonemap::GaussianKernel& kernel,
                                   int threads, FloatRowPass hpass,
@@ -83,21 +32,16 @@ img::ImageF blur_tiled_float_with(const img::ImageF& src,
 
   img::ImageF tmp(src.width(), h, 1);
   img::ImageF dst(src.width(), h, 1);
-  const bool parallel_ok =
-      bands > 1 && run_banded(bands, [&](int band, std::barrier<>& sync) {
-        const RowBand r = row_band(h, bands, band);
-        hpass(src, tmp, kernel, r.begin, r.end);
-        // Halo exchange: the vertical pass reads up to `radius` rows of
-        // `tmp` owned by neighbouring bands; the barrier publishes them.
-        sync.arrive_and_wait();
-        vpass(tmp, dst, kernel, r.begin, r.end);
-      });
-  if (!parallel_ok) {
-    // bands == 1, or thread spawning was cut short (partial results in
-    // tmp/dst are fully overwritten here).
-    hpass(src, tmp, kernel, 0, h);
-    vpass(tmp, dst, kernel, 0, h);
-  }
+  run_bands(bands, [&](int band) {
+    const RowBand r = row_band(h, bands, band);
+    hpass(src, tmp, kernel, r.begin, r.end);
+  });
+  // Halo exchange: the vertical pass reads up to `radius` rows of `tmp`
+  // owned by neighbouring bands; the join above publishes them.
+  run_bands(bands, [&](int band) {
+    const RowBand r = row_band(h, bands, band);
+    vpass(tmp, dst, kernel, r.begin, r.end);
+  });
   return dst;
 }
 
@@ -116,11 +60,18 @@ void vpass_simd_default(const img::ImageF& tmp, img::ImageF& dst,
 
 } // namespace
 
-bool run_independent_bands(int bands, const std::function<void(int)>& work) {
-  TMHLS_REQUIRE(bands >= 1, "run_independent_bands: bands must be >= 1");
+int clamp_bands(int threads, int rows) {
+  TMHLS_REQUIRE(threads >= 1,
+                "row bands: threads must be >= 1, got " +
+                    std::to_string(threads));
+  return std::min({threads, rows, kMaxTiledBands});
+}
+
+void run_bands(int bands, const std::function<void(int)>& work) {
+  TMHLS_REQUIRE(bands >= 1, "run_bands: bands must be >= 1, got " +
+                                std::to_string(bands));
   std::exception_ptr failure;
   std::mutex failure_mutex;
-
   auto guarded = [&](int band) {
     try {
       work(band);
@@ -130,21 +81,24 @@ bool run_independent_bands(int bands, const std::function<void(int)>& work) {
     }
   };
 
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(bands));
+  // Bands [1, spawned) get their own thread. Spawning stops at the first
+  // thread the system refuses (fault site "exec.bands.spawn" models that
+  // refusal); the caller then runs band 0 and every band left over.
+  std::vector<std::thread> helpers;
+  int spawned = 1;
   try {
-    for (int b = 0; b < bands; ++b) {
-      workers.emplace_back(guarded, b);
+    helpers.reserve(static_cast<std::size_t>(bands - 1));
+    for (; spawned < bands; ++spawned) {
+      if (fault::should_fail("exec.bands.spawn")) break;
+      helpers.emplace_back(guarded, spawned);
     }
-  } catch (const std::system_error&) {
-    // No barrier protocol to keep alive: the spawned workers just finish
-    // their (soon to be discarded) bands and exit.
-    for (std::thread& t : workers) t.join();
-    return false;
+  } catch (...) {
+    // Resource exhaustion: the remaining bands run inline below.
   }
-  for (std::thread& t : workers) t.join();
+  guarded(0);
+  for (int band = spawned; band < bands; ++band) guarded(band);
+  for (std::thread& t : helpers) t.join();
   if (failure) std::rethrow_exception(failure);
-  return true;
 }
 
 RowBand row_band(int rows, int bands, int band) {
@@ -186,22 +140,17 @@ img::ImageF blur_tiled_fixed(const img::ImageF& src,
   std::vector<std::int64_t> qsrc(src.pixel_count());
   std::vector<std::int64_t> hout(src.pixel_count());
   img::ImageF dst(w, h, 1);
-  const bool parallel_ok =
-      bands > 1 && run_banded(bands, [&](int band, std::barrier<>& sync) {
-        const RowBand r = row_band(h, bands, band);
-        // Quantisation and the horizontal pass are row-local to the band.
-        plan.quantise_rows(src, qsrc, r.begin, r.end);
-        tonemap::blur_hpass_fixed_rows(qsrc, hout, w, h, plan, r.begin,
-                                       r.end);
-        sync.arrive_and_wait();
-        tonemap::blur_vpass_fixed_rows(hout, dst, w, h, plan, r.begin,
-                                       r.end);
-      });
-  if (!parallel_ok) {
-    plan.quantise_rows(src, qsrc, 0, h);
-    tonemap::blur_hpass_fixed_rows(qsrc, hout, w, h, plan, 0, h);
-    tonemap::blur_vpass_fixed_rows(hout, dst, w, h, plan, 0, h);
-  }
+  // Quantisation and the horizontal pass are row-local to the band; the
+  // join before the vertical pass is the halo exchange.
+  run_bands(bands, [&](int band) {
+    const RowBand r = row_band(h, bands, band);
+    plan.quantise_rows(src, qsrc, r.begin, r.end);
+    tonemap::blur_hpass_fixed_rows(qsrc, hout, w, h, plan, r.begin, r.end);
+  });
+  run_bands(bands, [&](int band) {
+    const RowBand r = row_band(h, bands, band);
+    tonemap::blur_vpass_fixed_rows(hout, dst, w, h, plan, r.begin, r.end);
+  });
   return dst;
 }
 

@@ -7,10 +7,15 @@
 // Each worker owns a contiguous band of output rows. The horizontal pass
 // is row-local, so bands are independent; the vertical pass reads up to
 // `radius` rows of the intermediate plane beyond the band's edges (the
-// halo), which neighbouring workers produce — a std::barrier between the
-// passes is the halo exchange. Taps accumulate in the same order as the
+// halo), which neighbouring workers produce — so the tiled blur runs two
+// run_bands phases, horizontal then vertical, and the join between them is
+// the halo exchange. Taps accumulate in the same order as the
 // single-threaded golden models, so output is bit-identical for every
 // thread count.
+//
+// run_bands is the one intra-frame fan-out of the whole stack: the fused
+// streaming engine (tonemap::blur_fused_stream / tone_map_fused) runs its
+// halo-recomputing bands through it too.
 #pragma once
 
 #include <functional>
@@ -23,33 +28,32 @@ namespace tmhls::exec {
 
 /// Upper bound on worker threads (bands) per blur decomposition, whatever
 /// the caller asks for: beyond this, bands are thinner than their halo is
-/// worth and thread-spawn resource exhaustion becomes a real failure mode.
-/// Shared by the tiled mode here, the fused streaming engine's band
-/// decomposition (tonemap::blur_fused_stream) and the serving layer's blur
-/// sharding (serve::sharded_mask_blur).
+/// worth.
 inline constexpr int kMaxTiledBands = 64;
 
-/// Run `work(band)` on `bands` independent worker threads — the no-barrier
-/// counterpart of the tiled mode's internal banded runner, for
-/// decompositions whose bands share no intermediate state (the fused
-/// engine's halo-extended line buffers, where each band recomputes its halo
-/// rows instead of exchanging them). Returns false if thread spawning was
-/// cut short by resource exhaustion — outputs are then invalid and the
-/// caller must redo the work (e.g. single-threaded). Otherwise the first
-/// exception thrown by any worker is rethrown here.
-bool run_independent_bands(int bands, const std::function<void(int)>& work);
+/// The band count a decomposition of `rows` rows at `threads` threads
+/// runs: `threads` clamped to the row count and to kMaxTiledBands. Throws
+/// InvalidArgument unless threads >= 1.
+int clamp_bands(int threads, int rows);
+
+/// Run `work(band)` once for every band in [0, bands), bands 1.. on
+/// spawned threads and band 0 on the caller's thread, and return when all
+/// of them have finished. Never fails on its own: a thread that cannot be
+/// spawned leaves its band (and every later one) to run inline on the
+/// caller. The first exception thrown by any band is rethrown after every
+/// band has finished. Throws InvalidArgument unless bands >= 1.
+void run_bands(int bands, const std::function<void(int)>& work);
 
 /// Tiled float blur; bit-identical to blur_separable_float and
-/// blur_streaming_float for any `threads` >= 1. The worker count is
-/// clamped to the row count and to kMaxTiledBands; thread-spawn
-/// resource exhaustion falls back to single-threaded execution.
+/// blur_streaming_float for any `threads` >= 1. The band count is
+/// clamp_bands(threads, rows).
 img::ImageF blur_tiled_float(const img::ImageF& src,
                              const tonemap::GaussianKernel& kernel,
                              int threads);
 
 /// Tiled float blur through the SIMD pass primitives (vectorized across
 /// pixels); bit-identical to blur_separable_float and blur_tiled_float for
-/// any `threads` >= 1, with the same clamping and fallback behaviour.
+/// any `threads` >= 1, with the same clamping.
 img::ImageF blur_tiled_simd(const img::ImageF& src,
                             const tonemap::GaussianKernel& kernel,
                             int threads);

@@ -7,9 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "exec/async.hpp"
 #include "exec/cost_model.hpp"
-#include "serve/sharded_blur.hpp"
 #include "tonemap/frame_pipeline.hpp"
 #include "tonemap/global_operators.hpp"
 
@@ -59,9 +57,7 @@ tonemap::PipelineOptions degraded_options(
 /// One worker shard: the bounded admission queue (shared with submitters,
 /// guarded by `mutex`) plus the worker thread. Session state — the
 /// FramePipeline and the in-session promise queue — is worker-private and
-/// lives in worker_loop's frame, so it needs no locking at all. (The blur
-/// pool for sharded jobs is service-wide and shared across workers; see
-/// blur_pool_for.)
+/// lives in worker_loop's frame, so it needs no locking at all.
 struct ToneMapService::Shard {
   struct Queued {
     FrameJob job;
@@ -147,10 +143,6 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
   // Structural errors fail here at the submitter; everything discovered
   // during execution travels through the future instead (see the header).
   TMHLS_REQUIRE(!job.frame.empty(), "ToneMapService::submit: empty frame");
-  TMHLS_REQUIRE(job.blur_shards >= 1 && job.blur_shards <= kMaxBlurShards,
-                "FrameJob::blur_shards must be in [1, " +
-                    std::to_string(kMaxBlurShards) + "], got " +
-                    std::to_string(job.blur_shards));
   TMHLS_REQUIRE(!job.deadline_seconds ||
                     (std::isfinite(*job.deadline_seconds) &&
                      *job.deadline_seconds >= 0.0),
@@ -286,30 +278,6 @@ std::future<FrameResult> ToneMapService::submit(FrameJob job) {
   }
 }
 
-std::shared_ptr<exec::ExecutorPool> ToneMapService::blur_pool_for(
-    const FrameJob& job) {
-  const BlurPoolKey key{job.options, job.frame.width(), job.frame.height(),
-                        std::min(job.blur_shards, job.frame.height())};
-  const std::lock_guard<std::mutex> lock(blur_pool_mutex_);
-  if (blur_pool_ && blur_pool_key_ == key) return blur_pool_;
-  exec::ExecutorPoolOptions po;
-  po.executors = key.executors;
-  po.per_executor.workers = 1;
-  po.per_executor.queue_capacity = 2;
-  // Band costs vary (edge bands carry less halo), so route each band to
-  // whichever executor is free instead of strict rotation.
-  po.routing = exec::PoolRouting::least_loaded;
-  // Build before publishing: a throw (bad options) leaves the cached pool
-  // and key untouched for the jobs currently using it. Replacing the
-  // pointer does not destroy the old pool — workers mid-job hold their own
-  // reference and the pool drains with its last user.
-  auto pool = std::make_shared<exec::ExecutorPool>(
-      job.options.make_executor(key.width, key.height), po);
-  blur_pool_ = pool;
-  blur_pool_key_ = key;
-  return pool;
-}
-
 ServiceStats ToneMapService::stats() const {
   ServiceStats s;
   s.rebalanced = rebalanced_.load();
@@ -375,9 +343,9 @@ std::vector<common::StatsSnapshot> snapshot(const ServiceStats& stats) {
 
 void ToneMapService::worker_loop(Shard& shard, int shard_index) {
   // Every plane this worker allocates — session frames, stage
-  // intermediates, blur outputs (the session's async blur worker and the
-  // shared blur pool inherit this scope at construction) — comes from the
-  // service pool, so a warm shard recycles instead of allocating.
+  // intermediates, blur outputs (the session's async blur worker inherits
+  // this scope at construction) — comes from the service pool, so a warm
+  // shard recycles instead of allocating.
   const img::PlanePool::Scope pool_scope(pool_.get());
   // One entry per frame currently inside the session, oldest first — the
   // promise-side mirror of FramePipeline's submission-order queue.
@@ -582,38 +550,6 @@ void ToneMapService::worker_loop(Shard& shard, int shard_index) {
     // under degraded_options().
     if (p.degrade == DegradeLevel::reduced_blur) {
       job.options = degraded_options(job.options, options_.overload);
-    }
-
-    if (job.blur_shards > 1) {
-      // Oversized-frame path: drain the session first (per-shard FIFO
-      // completion), then shard this frame's mask blur across the
-      // service-wide pool (shared with every other shard worker —
-      // ExecutorPool::submit is thread-safe, and least-loaded routing
-      // interleaves bands from concurrent jobs across the executors).
-      while (!pending.empty()) retire_one();
-      if (p.has_deadline && Clock::now() >= p.deadline_at) {
-        expire(p, std::make_exception_ptr(DeadlineExceeded(
-                      "job " + std::to_string(p.id) +
-                      ": deadline expired before sharded blur")));
-        continue;
-      }
-      try {
-        const std::shared_ptr<exec::ExecutorPool> pool = blur_pool_for(job);
-        tonemap::PipelineResult r =
-            tone_map_sharded(job.frame, job.options, *pool, job.blur_shards);
-        FrameResult out;
-        out.output = std::move(r.output);
-        out.job_id = p.id;
-        out.shard = shard_index;
-        out.backend = pool->shard(0).executor().backend().name();
-        out.queue_seconds = p.queue_seconds;
-        out.service_seconds = seconds_between(picked_up, Clock::now());
-        out.degrade = p.degrade;
-        complete(p, std::move(out));
-      } catch (...) {
-        fail(p);
-      }
-      continue;
     }
 
     // Deadline-checked staged path: a job with a deadline runs the stage

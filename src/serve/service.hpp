@@ -1,9 +1,9 @@
 // serve::ToneMapService — the in-process frame-serving front. This is the
 // layer the ROADMAP's "serves heavy traffic" north star has been building
 // toward: it composes the pieces below it (tonemap::FramePipeline sessions
-// for per-frame pipelining, exec::ExecutorPool for fan-out, the row-band
-// tiling for single-frame sharding) into one submit/future API that every
-// future transport (socket, HTTP) can sit on.
+// for per-frame pipelining, the planner's row bands for intra-frame
+// parallelism) into one submit/future API that every transport (socket,
+// HTTP) can sit on.
 //
 // Shape: the service owns `shards` worker threads, each driving its own
 // FramePipeline session behind a bounded admission queue. submit() hands a
@@ -14,14 +14,12 @@
 // complete in submission order and consecutive jobs with equal options
 // reuse the session (keeping up to `pipeline_depth` frames in flight);
 // a job whose options differ drains the session and rebuilds it — correct
-// for any mix, fastest for runs of identical options. Jobs with
-// blur_shards > 1 instead shard their mask blur across one service-wide
-// ExecutorPool shared by all shard workers (serve::sharded_mask_blur) —
-// ExecutorPool::submit is thread-safe, so sharded jobs from different
-// shards interleave on the same executors instead of each shard paying
-// for an idle private pool. Output is bit-identical
-// to the blocking tonemap::tone_map() for every job, at every shard count
-// and blur_shards — the service schedules work, it never changes bits.
+// for any mix, fastest for runs of identical options. A job that wants one
+// oversized frame split across cores sets options.threads: the planner
+// turns that into row bands inside the blur (exec::run_bands). Output is
+// bit-identical to the blocking tonemap::tone_map() for every job, at
+// every shard and thread count — the service schedules work, it never
+// changes bits.
 //
 // See docs/serving.md for the usage guide (lifecycle, sizing,
 // backpressure, error contract) and docs/architecture.md for where this
@@ -48,10 +46,6 @@
 #include "serve/qos.hpp"
 #include "tonemap/pipeline.hpp"
 
-namespace tmhls::exec {
-class ExecutorPool;
-}
-
 namespace tmhls::serve {
 
 /// One tone-mapping request: a whole HDR frame plus the per-job pipeline
@@ -61,16 +55,10 @@ struct FrameJob {
   img::ImageF frame;
   /// Per-job pipeline options — jobs with different options may be mixed
   /// freely in one service (each is bit-identical to the blocking
-  /// tone_map() under its own options).
+  /// tone_map() under its own options). options.threads is how one
+  /// oversized frame gets intra-frame parallelism: the planner splits its
+  /// blur into that many row bands (clamped to the host's cores).
   tonemap::PipelineOptions options;
-  /// 1 (default) runs the frame through the shard's FramePipeline session.
-  /// > 1 shards this frame's mask blur across that many executors via
-  /// row-band tiling (serve::sharded_mask_blur) — the oversized-frame
-  /// path, worth it when one frame's blur dominates and executors would
-  /// otherwise idle. Must be in [1, kMaxBlurShards]: each shard is an
-  /// executor with its own worker thread, so the count is bounded the
-  /// same way the tiled layer bounds its bands.
-  int blur_shards = 1;
   /// What the service may do to this job under overload (see QosClass).
   /// Default standard: degrade rather than shed, never block admission on
   /// an unmeetable deadline.
@@ -87,10 +75,6 @@ struct FrameJob {
   /// DeadlineExceeded instead of computing a frame nobody is waiting for.
   std::optional<double> deadline_seconds;
 };
-
-/// Upper bound on FrameJob::blur_shards (the executor fan-out one job may
-/// request) — the serving-layer twin of the tiled mode's 64-band cap.
-inline constexpr int kMaxBlurShards = 64;
 
 /// A completed job, delivered through the future from submit(). A job
 /// that failed delivers its exception instead (see the error contract on
@@ -250,8 +234,8 @@ public:
   /// costs less than waiting out a deep queue.
   ///
   /// Error contract, mirroring FramePipeline's: structurally invalid jobs
-  /// (empty frame, blur_shards < 1, a negative or non-finite deadline)
-  /// throw InvalidArgument here, at the submitter. Admission control may
+  /// (empty frame, a negative or non-finite deadline) throw
+  /// InvalidArgument here, at the submitter. Admission control may
   /// additionally throw the typed Overloaded for best-effort jobs — when
   /// every queue is full, or when the estimated wait says the job's
   /// deadline cannot be met (standard jobs are degraded instead of shed;
@@ -283,24 +267,7 @@ public:
 private:
   struct Shard;
 
-  /// What the shared blur pool is currently built for. Sharded jobs whose
-  /// configuration matches reuse the pool; a mismatch rebuilds it (the
-  /// pool binds one resolved backend and frame geometry).
-  struct BlurPoolKey {
-    tonemap::PipelineOptions options;
-    int width = 0;
-    int height = 0;
-    int executors = 0;
-    bool operator==(const BlurPoolKey&) const = default;
-  };
-
   void worker_loop(Shard& shard, int shard_index);
-
-  /// The service-wide blur pool for this job's configuration, built (under
-  /// blur_pool_mutex_) if the cached one does not match. Workers hold the
-  /// returned shared_ptr across the job, so a concurrent rebuild never
-  /// destroys a pool mid-use — the old pool drains with its last user.
-  std::shared_ptr<exec::ExecutorPool> blur_pool_for(const FrameJob& job);
 
   ToneMapServiceOptions options_;
   /// Created before the shards (workers capture its scope) and destroyed
@@ -312,9 +279,6 @@ private:
   std::atomic<std::uint64_t> next_job_id_{0};
   std::atomic<std::uint64_t> rebalanced_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::mutex blur_pool_mutex_;
-  std::shared_ptr<exec::ExecutorPool> blur_pool_;
-  BlurPoolKey blur_pool_key_;
 };
 
 } // namespace tmhls::serve

@@ -251,10 +251,14 @@ bool process_frame(SessionManager::Session& s, std::uint64_t sequence,
     deliver(s, std::move(result), out);
     return true;
   }
+  // Stamp before submit: at depth 1 submit() runs the whole frame, and
+  // that compute time is exactly what service_seconds (and the rate
+  // controller's estimate) must see.
+  const Clock::time_point submitted_at = Clock::now();
   s.pipeline->submit(buffered.frame, next_scale);
   s.scale = next_scale;
   ++s.adapted_frames;
-  s.in_pipeline.push_back({sequence, Clock::now()});
+  s.in_pipeline.push_back({sequence, submitted_at});
   while (s.pipeline->has_ready()) deliver(s, pop_result(s), out);
   return true;
 }

@@ -42,11 +42,11 @@ FramePipeline::FramePipeline(FramePipelineOptions options)
     throw InvalidArgument(msg);
   }
   if (options_.depth > 1) {
-    // One worker serialises the blurs in submission order (the model of
-    // the paper's single accelerator); the queue holds one slot per
-    // pipeline stage so submit() never blocks on its own backpressure.
+    // The executor's single worker serialises the blurs in submission
+    // order (the model of the paper's single accelerator); the queue holds
+    // one slot per pipeline stage so submit() never blocks on its own
+    // backpressure.
     exec::AsyncExecutorOptions ao;
-    ao.workers = 1;
     ao.queue_capacity = options_.depth;
     async_ = std::make_unique<exec::AsyncExecutor>(executor_, ao);
   }

@@ -154,26 +154,19 @@ void fused_tonemap_band(const img::ImageF& hdr, img::ImageF& dst,
   }
 }
 
-int clamp_bands(int threads, int rows) {
-  TMHLS_REQUIRE(threads >= 1, "fused stream: threads must be >= 1");
-  return std::min({threads, rows, exec::kMaxTiledBands});
-}
-
 } // namespace
 
 img::ImageF blur_fused_stream(const img::ImageF& src,
                               const GaussianKernel& kernel, int threads) {
   TMHLS_REQUIRE(src.channels() == 1, "blur expects a 1-channel image");
   const int h = src.height();
-  const int bands = clamp_bands(threads, h);
+  const int bands = exec::clamp_bands(threads, h);
 
   img::ImageF dst(src.width(), h, 1);
-  const bool parallel_ok =
-      bands > 1 && exec::run_independent_bands(bands, [&](int band) {
-        const exec::RowBand r = exec::row_band(h, bands, band);
-        fused_blur_band(src, dst, kernel, r.begin, r.end);
-      });
-  if (!parallel_ok) fused_blur_band(src, dst, kernel, 0, h);
+  exec::run_bands(bands, [&](int band) {
+    const exec::RowBand r = exec::row_band(h, bands, band);
+    fused_blur_band(src, dst, kernel, r.begin, r.end);
+  });
   return dst;
 }
 
@@ -190,7 +183,7 @@ FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
   TMHLS_REQUIRE(opt.contrast > 0.0f, "brightness_contrast: contrast must be > 0");
   const GaussianKernel kernel = opt.kernel();
   const int h = hdr.height();
-  const int bands = clamp_bands(opt.threads, h);
+  const int bands = exec::clamp_bands(opt.threads, h);
 
   // The one inherently two-pass part: frame-max normalisation must see
   // every sample before the first row can be normalized. Same reduction as
@@ -208,12 +201,10 @@ FusedToneMapResult tone_map_fused(const img::ImageF& hdr,
   result.input_max = scale;
   result.output = img::ImageF(hdr.width(), h, hdr.channels());
   img::ImageF& dst = result.output;
-  const bool parallel_ok =
-      bands > 1 && exec::run_independent_bands(bands, [&](int band) {
-        const exec::RowBand r = exec::row_band(h, bands, band);
-        fused_tonemap_band(hdr, dst, opt, kernel, scale, r.begin, r.end);
-      });
-  if (!parallel_ok) fused_tonemap_band(hdr, dst, opt, kernel, scale, 0, h);
+  exec::run_bands(bands, [&](int band) {
+    const exec::RowBand r = exec::row_band(h, bands, band);
+    fused_tonemap_band(hdr, dst, opt, kernel, scale, r.begin, r.end);
+  });
   return result;
 }
 

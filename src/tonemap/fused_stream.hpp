@@ -30,13 +30,13 @@
 // the plane-at-a-time reference — the output is blur_separable_float's /
 // tone_map()'s bit for bit, at every thread count.
 //
-// Multi-threading: row-band decomposition like exec's tiled mode, but with
-// no inter-band halo exchange — each band primes its own line buffer with
-// up to `radius` halo rows beyond its edges (recomputing their horizontal
-// blur, the overlapped-tiling trade the Halide/HWTool line of work makes
-// for the same reason: recomputation is cheaper than synchronising
-// intermediate state). Bands are fully independent, so bit-identity across
-// thread counts is by construction rather than by barrier discipline.
+// Multi-threading: row bands run by exec::run_bands like exec's tiled
+// mode, but with no inter-band halo exchange — each band primes its own
+// line buffer with up to `radius` halo rows beyond its edges (recomputing
+// their horizontal blur, the overlapped-tiling trade the Halide/HWTool
+// line of work makes for the same reason: recomputation is cheaper than
+// synchronising intermediate state). Bands are fully independent, so
+// bit-identity across thread counts is by construction.
 #pragma once
 
 #include "image/image.hpp"
@@ -47,8 +47,7 @@ namespace tmhls::tonemap {
 
 /// Fused sliding-window Gaussian blur of a 1-channel plane; bit-identical
 /// to blur_separable_float for every geometry, radius and `threads` >= 1.
-/// The worker count is clamped to the row count and exec::kMaxTiledBands;
-/// thread-spawn resource exhaustion falls back to single-threaded.
+/// The band count is exec::clamp_bands(threads, rows).
 img::ImageF blur_fused_stream(const img::ImageF& src,
                               const GaussianKernel& kernel, int threads = 1);
 

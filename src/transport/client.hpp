@@ -103,7 +103,7 @@ public:
   /// read later by next_result(). Returns the request id the eventual
   /// reply will carry. Throws TransportError if the connection is gone,
   /// InvalidArgument for jobs the wire format rejects (empty frame,
-  /// out-of-range blur_shards or dimensions).
+  /// out-of-range dimensions or deadline).
   std::uint64_t submit(serve::FrameJob job);
 
   /// Read the next reply (completion order, not submission order). Throws

@@ -1,9 +1,11 @@
 #include "transport/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 
+#include "exec/tiled.hpp"
 #include "fixed/fixed_format.hpp"
 #include "tonemap/pipeline.hpp"
 
@@ -445,16 +447,15 @@ void verify_checksum(const Header& header,
 }
 
 std::vector<std::uint8_t> encode_request(const Request& request) {
-  TMHLS_REQUIRE(request.job.blur_shards >= 1 &&
-                    request.job.blur_shards <= serve::kMaxBlurShards,
-                "wire: blur_shards outside [1, kMaxBlurShards]");
   TMHLS_REQUIRE(!request.job.deadline_seconds ||
                     (std::isfinite(*request.job.deadline_seconds) &&
                      *request.job.deadline_seconds >= 0.0),
                 "wire: deadline_seconds must be finite and >= 0");
   std::vector<std::uint8_t> payload;
   put_u64(payload, request.request_id);
-  put_u32(payload, static_cast<std::uint32_t>(request.job.blur_shards));
+  // The legacy thread-hint slot: always 1 from this encoder, whose
+  // parallelism travels in options.threads.
+  put_u32(payload, 1);
   put_u8(payload, code_of(request.job.qos));
   // "No deadline" travels as an explicit flag byte (v3): the f64 that
   // follows is only meaningful when the flag is 1, and must be zero
@@ -470,14 +471,16 @@ Request decode_request(std::span<const std::uint8_t> payload) {
   Reader in(payload);
   Request request;
   request.request_id = in.u64();
+  // Legacy thread hint (the retired blur_shards field): still range
+  // checked, then folded into options.threads below, so an old client
+  // keeps its parallelism and its bits.
   const std::uint32_t blur_shards = in.u32();
   if (blur_shards < 1 ||
-      blur_shards > static_cast<std::uint32_t>(serve::kMaxBlurShards)) {
+      blur_shards > static_cast<std::uint32_t>(exec::kMaxTiledBands)) {
     throw WireError("wire: blur_shards " + std::to_string(blur_shards) +
-                    " outside [1, " + std::to_string(serve::kMaxBlurShards) +
+                    " outside [1, " + std::to_string(exec::kMaxTiledBands) +
                     "]");
   }
-  request.job.blur_shards = static_cast<int>(blur_shards);
   request.job.qos = qos_of(in.u8());
   const std::uint8_t has_deadline = in.u8();
   if (has_deadline > 1) {
@@ -499,6 +502,11 @@ Request decode_request(std::span<const std::uint8_t> payload) {
     throw WireError("wire: deadline value must be 0 when the flag is 0");
   }
   request.job.options = read_options(in);
+  // An invalid thread count stays invalid (it fails through the future).
+  if (request.job.options.threads >= 1) {
+    request.job.options.threads = std::max(request.job.options.threads,
+                                           static_cast<int>(blur_shards));
+  }
   request.job.frame = read_image(in);
   in.expect_exhausted("request");
   return request;

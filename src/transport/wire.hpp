@@ -68,7 +68,9 @@ namespace wire {
 /// BlurKind alias: PipelineOptions no longer carries the blur byte (the
 /// backend string + datapath byte are the complete execution selection);
 /// Datapath code 0 was renamed from_blur_kind -> unspecified with the
-/// same "follow the backend" meaning.
+/// same "follow the backend" meaning. Still within v4, the request's u32
+/// after the id became a legacy thread hint: encoders write 1, decoders
+/// range-check it to [1, 64] and fold it into options.threads.
 inline constexpr std::uint16_t kVersion = 4;
 
 /// First four payload-independent bytes of every message.
@@ -78,8 +80,7 @@ inline constexpr std::array<std::uint8_t, 4> kMagic{'T', 'M', 'H', 'W'};
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// Per-axis bound on frame dimensions crossing the wire. Frames larger
-/// than this belong to the in-process API (or to blur_shards on a
-/// co-located service), not to a serialized hop.
+/// than this belong to the in-process API, not to a serialized hop.
 inline constexpr int kMaxDimension = 4096;
 
 /// Upper bound a decoder accepts for one payload: the worst-case frame

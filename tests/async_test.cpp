@@ -1,10 +1,10 @@
 // Tests for the asynchronous execution layer: AsyncExecutor's
 // submit/future contract (results, error delivery, bounded queue,
-// destruction with work in flight), ExecutorPool sharding under
-// randomized concurrent interleavings, FramePipeline's bit-identity and
-// order preservation against the blocking tone_map() at depths 1/2/4
-// across every registered backend, and the centralized InvalidArgument
-// validation of the executor/async/pipeline option structs.
+// destruction with work in flight, concurrent submitters), FramePipeline's
+// bit-identity and order preservation against the blocking tone_map() at
+// depths 1/2/4 across every registered backend, and the centralized
+// InvalidArgument validation of the executor/async/pipeline option
+// structs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "exec/async.hpp"
 #include "exec/executor.hpp"
+#include "exec/planner.hpp"
 #include "exec/registry.hpp"
 #include "tonemap/frame_pipeline.hpp"
 #include "tonemap/kernel.hpp"
@@ -70,9 +71,11 @@ TEST(ValidationTest, ExecutorOptionsRejectNonPositiveThreads) {
     opts.threads = threads;
     EXPECT_THROW(validate(opts), InvalidArgument) << threads;
     EXPECT_THROW(PipelineExecutor("separable_float", opts), InvalidArgument);
-    EXPECT_THROW(select_auto_backend(32, 32, tonemap::GaussianKernel(1.0, 3),
-                                     opts),
-                 InvalidArgument);
+    PlanRequest request{32, 32, "auto"};
+    request.threads = threads;
+    EXPECT_THROW(
+        Planner::global().plan(request, tonemap::GaussianKernel(1.0, 3)),
+        InvalidArgument);
   }
   try {
     ExecutorOptions opts;
@@ -87,24 +90,11 @@ TEST(ValidationTest, ExecutorOptionsRejectNonPositiveThreads) {
   }
 }
 
-TEST(ValidationTest, AsyncExecutorOptionsRejectBadWorkersAndQueue) {
+TEST(ValidationTest, AsyncExecutorOptionsRejectBadQueue) {
   const PipelineExecutor executor("separable_float");
-  AsyncExecutorOptions bad_workers;
-  bad_workers.workers = 0;
-  EXPECT_THROW(AsyncExecutor(executor, bad_workers), InvalidArgument);
   AsyncExecutorOptions bad_queue;
   bad_queue.queue_capacity = 0;
   EXPECT_THROW(AsyncExecutor(executor, bad_queue), InvalidArgument);
-}
-
-TEST(ValidationTest, ExecutorPoolOptionsRejectBadShardCount) {
-  const PipelineExecutor executor("separable_float");
-  ExecutorPoolOptions opts;
-  opts.executors = 0;
-  EXPECT_THROW(ExecutorPool(executor, opts), InvalidArgument);
-  opts.executors = 2;
-  opts.per_executor.queue_capacity = -1;
-  EXPECT_THROW(ExecutorPool(executor, opts), InvalidArgument);
 }
 
 TEST(ValidationTest, FramePipelineOptionsRejectBadDepth) {
@@ -127,7 +117,6 @@ TEST(AsyncExecutorTest, FutureCarriesTheSynchronousBlurResult) {
 TEST(AsyncExecutorTest, ManyRequestsAllComplete) {
   const PipelineExecutor executor("separable_float");
   AsyncExecutorOptions opts;
-  opts.workers = 2;
   opts.queue_capacity = 3; // smaller than the request count: exercises
                            // submit-side backpressure
   AsyncExecutor async(executor, opts);
@@ -185,72 +174,15 @@ TEST(AsyncExecutorTest, DestructionWithAbandonedFuturesIsSafe) {
   // Destruction must neither hang nor touch freed promise state.
 }
 
-TEST(AsyncExecutorTest, StatsCountSubmittedAndCompletedConsistently) {
-  const PipelineExecutor executor("separable_float");
-  const tonemap::GaussianKernel kernel(1.5, 4);
-  AsyncExecutor async(executor);
-  EXPECT_EQ(async.stats().submitted, 0u);
-  EXPECT_EQ(async.stats().completed, 0u);
-
-  std::vector<std::future<img::ImageF>> futures;
-  for (int i = 0; i < 5; ++i) {
-    futures.push_back(async.submit({random_plane(15, 11, 40u + static_cast<std::uint64_t>(i)), kernel}));
-  }
-  {
-    // Snapshot consistency: queued + running always equals the gap
-    // between the lifetime counters, whatever the workers are doing.
-    const AsyncExecutorStats s = async.stats();
-    EXPECT_EQ(s.submitted, 5u);
-    EXPECT_EQ(s.queued + s.running,
-              static_cast<std::size_t>(s.submitted - s.completed));
-  }
-  for (auto& f : futures) f.get();
-  // Workers update `completed` just after satisfying the future, so a
-  // fresh get() may race the counter by one tick; drain via in_flight.
-  while (async.in_flight() > 0) std::this_thread::yield();
-  const AsyncExecutorStats s = async.stats();
-  EXPECT_EQ(s.submitted, 5u);
-  EXPECT_EQ(s.completed, 5u);
-  EXPECT_EQ(s.queued, 0u);
-  EXPECT_EQ(s.running, 0u);
-}
-
-TEST(AsyncExecutorTest, StatsCountErroredRequestsAsCompleted) {
-  AsyncExecutor async(PipelineExecutor("hlscode"));
-  const tonemap::GaussianKernel huge(40.0, 120); // beyond kMaxTaps
-  std::future<img::ImageF> future =
-      async.submit({random_plane(8, 8, 5), huge});
-  EXPECT_THROW(future.get(), InvalidArgument);
-  while (async.in_flight() > 0) std::this_thread::yield();
-  const AsyncExecutorStats s = async.stats();
-  EXPECT_EQ(s.submitted, 1u);
-  EXPECT_EQ(s.completed, 1u);
-}
-
-// --- ExecutorPool ---------------------------------------------------------
-
-TEST(ExecutorPoolTest, ShardsRoundRobinAndExposeShards) {
-  const PipelineExecutor executor("separable_float");
-  ExecutorPoolOptions opts;
-  opts.executors = 3;
-  ExecutorPool pool(executor, opts);
-  EXPECT_EQ(pool.shards(), 3);
-  EXPECT_THROW(pool.shard(3), InvalidArgument);
-  EXPECT_THROW(pool.shard(-1), InvalidArgument);
-  EXPECT_EQ(pool.shard(0).options().workers, opts.per_executor.workers);
-}
-
-TEST(ExecutorPoolTest, RandomizedConcurrentInterleavingsStayBitIdentical) {
-  // The serving-front stress: several producer threads submit randomized
-  // geometries into a shared pool, hold the futures for random intervals,
-  // and verify every result against the synchronous executor. Run under
-  // TSan in CI, this is the async layer's data-race canary.
+TEST(AsyncExecutorTest, ConcurrentSubmittersStayBitIdentical) {
+  // Several producer threads submit randomized geometries into one
+  // executor, hold the futures for random intervals, and verify every
+  // result against the synchronous executor. Run under TSan in CI, this
+  // is the async layer's data-race canary.
   const PipelineExecutor executor("separable_simd");
-  ExecutorPoolOptions opts;
-  opts.executors = 2;
-  opts.per_executor.workers = 2;
-  opts.per_executor.queue_capacity = 4;
-  ExecutorPool pool(executor, opts);
+  AsyncExecutorOptions opts;
+  opts.queue_capacity = 4;
+  AsyncExecutor async(executor, opts);
 
   constexpr int kProducers = 4;
   constexpr int kRequestsPerProducer = 12;
@@ -267,7 +199,7 @@ TEST(ExecutorPoolTest, RandomizedConcurrentInterleavingsStayBitIdentical) {
         const tonemap::GaussianKernel kernel(radius / 3.0 + 0.5, radius);
         const img::ImageF plane = random_plane(
             w, h, static_cast<std::uint64_t>(p * 1000 + i));
-        std::future<img::ImageF> future = pool.submit({plane, kernel});
+        std::future<img::ImageF> future = async.submit({plane, kernel});
         if (rng.uniform() < 0.3) std::this_thread::yield();
         const ::testing::AssertionResult check =
             bit_identical(future.get(), executor.blur(plane, kernel));
@@ -283,75 +215,6 @@ TEST(ExecutorPoolTest, RandomizedConcurrentInterleavingsStayBitIdentical) {
   }
   for (std::thread& t : producers) t.join();
   for (const auto& outcome : outcomes) EXPECT_TRUE(outcome);
-}
-
-TEST(ExecutorPoolTest, StatsAggregatePerShardCountersAndShowRoundRobin) {
-  const PipelineExecutor executor("separable_float");
-  ExecutorPoolOptions opts;
-  opts.executors = 3;
-  ExecutorPool pool(executor, opts);
-  const tonemap::GaussianKernel kernel(1.5, 4);
-  std::vector<std::future<img::ImageF>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(
-        pool.submit({random_plane(11, 9, 60u + static_cast<std::uint64_t>(i)), kernel}));
-  }
-  for (auto& f : futures) f.get();
-  while (pool.in_flight() > 0) std::this_thread::yield();
-
-  const ExecutorPoolStats s = pool.stats();
-  ASSERT_EQ(s.per_shard.size(), 3u);
-  EXPECT_EQ(s.submitted, 6u);
-  EXPECT_EQ(s.completed, 6u);
-  EXPECT_EQ(s.queued, 0u);
-  EXPECT_EQ(s.running, 0u);
-  // Round-robin from a single submitter: exactly two requests per shard.
-  for (const AsyncExecutorStats& shard : s.per_shard) {
-    EXPECT_EQ(shard.submitted, 2u);
-    EXPECT_EQ(shard.completed, 2u);
-  }
-}
-
-TEST(ExecutorPoolTest, LeastLoadedRoutingAvoidsTheBusyShard) {
-  // Park a slow blur on shard 0, then submit small blurs one at a time,
-  // waiting for each: at every submission shard 0 has one request in
-  // flight and shard 1 none, so least-loaded routing must place every
-  // small request on shard 1 — including the even-indexed ones whose
-  // round-robin rotation points at shard 0.
-  const PipelineExecutor executor("separable_float");
-  ExecutorPoolOptions opts;
-  opts.executors = 2;
-  opts.routing = PoolRouting::least_loaded;
-  ExecutorPool pool(executor, opts);
-
-  const tonemap::GaussianKernel big_kernel(16.0, 48);
-  const img::ImageF big_plane = random_plane(512, 512, 77);
-  std::future<img::ImageF> big = pool.submit({big_plane, big_kernel});
-
-  const tonemap::GaussianKernel small_kernel(1.0, 2);
-  constexpr int kSmallRequests = 4;
-  std::vector<::testing::AssertionResult> outcomes;
-  for (int i = 0; i < kSmallRequests; ++i) {
-    const img::ImageF plane =
-        random_plane(9, 7, 300 + static_cast<std::uint64_t>(i));
-    outcomes.push_back(bit_identical(pool.submit({plane, small_kernel}).get(),
-                                     executor.blur(plane, small_kernel)));
-  }
-  const bool big_ran_throughout =
-      big.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
-  EXPECT_TRUE(bit_identical(big.get(), executor.blur(big_plane, big_kernel)));
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_TRUE(outcomes[i]) << "small request " << i;
-  }
-  if (!big_ran_throughout) {
-    GTEST_SKIP() << "big blur finished before the small ones — shard "
-                    "placement unconstrained on this host";
-  }
-  const ExecutorPoolStats s = pool.stats();
-  ASSERT_EQ(s.per_shard.size(), 2u);
-  EXPECT_EQ(s.per_shard[0].submitted, 1u);
-  EXPECT_EQ(s.per_shard[1].submitted,
-            static_cast<std::uint64_t>(kSmallRequests));
 }
 
 } // namespace

@@ -5,18 +5,25 @@
 // not the pixels), the interior/border split of the pass primitives
 // against an unsplit reference, the HlsCodeBackend's bit-exact equivalence
 // with the golden models, the calibrated cost model with automatic backend
-// selection, and the executor plumbing the pipeline and CLI ride on.
+// selection, the one band runner (run_bands) every intra-frame split goes
+// through, and the executor plumbing the pipeline and CLI ride on.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "exec/backends.hpp"
 #include "exec/cost_model.hpp"
 #include "exec/executor.hpp"
+#include "exec/planner.hpp"
 #include "exec/registry.hpp"
 #include "exec/tiled.hpp"
 #include "hlscode/blur_kernels.hpp"
@@ -160,36 +167,139 @@ TEST(TiledTest, RowBandsPartitionContiguously) {
   }
 }
 
+// --- Band runner ---------------------------------------------------------
+
+TEST(RunBandsTest, EveryBandRunsExactlyOnce) {
+  for (int bands : {1, 2, 3, 7, 16}) {
+    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(bands));
+    run_bands(bands, [&](int band) {
+      runs[static_cast<std::size_t>(band)].fetch_add(1);
+    });
+    for (int b = 0; b < bands; ++b) {
+      EXPECT_EQ(runs[static_cast<std::size_t>(b)].load(), 1)
+          << "band " << b << " of " << bands;
+    }
+  }
+  EXPECT_THROW(run_bands(0, [](int) {}), InvalidArgument);
+}
+
+TEST(RunBandsTest, ExceptionIsRethrownOnlyAfterEveryBandFinished) {
+  // Band 1 throws at once; every other band is still working at that
+  // moment. run_bands must wait them all out before rethrowing.
+  constexpr int kBands = 5;
+  std::vector<std::atomic<bool>> finished(kBands);
+  EXPECT_THROW(run_bands(kBands,
+                         [&](int band) {
+                           if (band == 1) throw std::runtime_error("band 1");
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(20));
+                           finished[static_cast<std::size_t>(band)] = true;
+                         }),
+               std::runtime_error);
+  for (int b = 0; b < kBands; ++b) {
+    if (b == 1) continue;
+    EXPECT_TRUE(finished[static_cast<std::size_t>(b)].load()) << "band " << b;
+  }
+}
+
+TEST(RunBandsTest, RefusedSpawnRunsTheRemainingBandsInline) {
+  // The system refuses the second thread: band 1 keeps its thread, bands
+  // 2.. run on the caller after band 0, and the blur keeps its bits.
+  fault::FaultSpec spec;
+  spec.trigger_after = 1;
+  fault::arm("exec.bands.spawn", spec);
+  constexpr int kBands = 4;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> runs(kBands);
+  std::vector<std::thread::id> ran_on(kBands);
+  run_bands(kBands, [&](int band) {
+    runs[static_cast<std::size_t>(band)].fetch_add(1);
+    ran_on[static_cast<std::size_t>(band)] = std::this_thread::get_id();
+  });
+  const img::ImageF src = random_plane(37, 29, 13);
+  const tonemap::GaussianKernel kernel(2.0, 6);
+  const img::ImageF tiled = blur_tiled_float(src, kernel, kBands);
+  fault::disarm_all();
+  for (int b = 0; b < kBands; ++b) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(b)].load(), 1) << "band " << b;
+  }
+  EXPECT_EQ(ran_on[0], caller);
+  EXPECT_NE(ran_on[1], caller);
+  EXPECT_EQ(ran_on[2], caller);
+  EXPECT_EQ(ran_on[3], caller);
+  EXPECT_TRUE(
+      bit_identical(tiled, tonemap::blur_separable_float(src, kernel)));
+}
+
 // --- Tiled bit-identity --------------------------------------------------
+
+// Odd sizes, plus 19x13 at radius 9: at 4 bands every band is shorter
+// than the vertical halo it reads, so the exchange reaches across bands.
+struct TiledGeometry {
+  int w;
+  int h;
+  double sigma;
+  int radius;
+};
+constexpr TiledGeometry kTiledGeometries[] = {
+    {33, 17, 2.5, 7}, {61, 45, 2.5, 7}, {19, 13, 3.0, 9}};
 
 class TiledBitIdentityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TiledBitIdentityTest, FloatMatchesSingleThreadOnOddSizes) {
   const int threads = GetParam();
-  for (const auto& [w, h] : {std::pair{33, 17}, std::pair{61, 45}}) {
-    const img::ImageF src = random_plane(w, h, 7);
-    const tonemap::GaussianKernel kernel(2.5, 7);
+  for (const TiledGeometry& g : kTiledGeometries) {
+    const img::ImageF src = random_plane(g.w, g.h, 7);
+    const tonemap::GaussianKernel kernel(g.sigma, g.radius);
     const img::ImageF golden = tonemap::blur_separable_float(src, kernel);
     EXPECT_TRUE(bit_identical(blur_tiled_float(src, kernel, threads), golden))
-        << w << "x" << h << " threads=" << threads;
+        << g.w << "x" << g.h << " r" << g.radius << " threads=" << threads;
   }
 }
 
 TEST_P(TiledBitIdentityTest, FixedMatchesStreamingFixedOnOddSizes) {
   const int threads = GetParam();
   const tonemap::FixedBlurConfig cfg = tonemap::FixedBlurConfig::paper();
-  for (const auto& [w, h] : {std::pair{33, 17}, std::pair{61, 45}}) {
-    const img::ImageF src = random_plane(w, h, 11);
-    const tonemap::GaussianKernel kernel(2.5, 7);
+  for (const TiledGeometry& g : kTiledGeometries) {
+    const img::ImageF src = random_plane(g.w, g.h, 11);
+    const tonemap::GaussianKernel kernel(g.sigma, g.radius);
     const img::ImageF golden = tonemap::blur_streaming_fixed(src, kernel, cfg);
     EXPECT_TRUE(
         bit_identical(blur_tiled_fixed(src, kernel, cfg, threads), golden))
-        << w << "x" << h << " threads=" << threads;
+        << g.w << "x" << g.h << " r" << g.radius << " threads=" << threads;
+  }
+}
+
+TEST_P(TiledBitIdentityTest, EveryBackendMatchesItsGoldenAt37x29) {
+  // Every registered backend at this thread count (backends without the
+  // tiled capability run single-threaded, as their executor would clamp
+  // them): float datapaths match separable_float, fixed datapaths match
+  // streaming_fixed, byte for byte.
+  const int threads = GetParam();
+  const img::ImageF src = random_plane(37, 29, 11);
+  const tonemap::GaussianKernel kernel(2.0, 6);
+  const tonemap::FixedBlurConfig cfg = tonemap::FixedBlurConfig::paper();
+  const img::ImageF float_golden = tonemap::blur_separable_float(src, kernel);
+  const img::ImageF fixed_golden =
+      tonemap::blur_streaming_fixed(src, kernel, cfg);
+  for (const std::string& name : BackendRegistry::global().names()) {
+    const auto backend = BackendRegistry::global().resolve(name);
+    const BackendCapabilities caps = backend->capabilities();
+    for (const bool use_fixed : {false, true}) {
+      if (use_fixed ? !caps.fixed_datapath : !caps.float_datapath) continue;
+      BlurContext ctx;
+      ctx.threads = caps.tiled_threads ? threads : 1;
+      ctx.use_fixed = use_fixed;
+      EXPECT_TRUE(bit_identical(backend->run_blur(src, kernel, ctx),
+                                use_fixed ? fixed_golden : float_golden))
+          << name << (use_fixed ? " fixed" : " float")
+          << " threads=" << threads;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, TiledBitIdentityTest,
-                         ::testing::Values(1, 2, 4, 7));
+                         ::testing::Values(1, 2, 3, 4, 7));
 
 TEST(TiledTest, MoreThreadsThanRowsClampsToRows) {
   const img::ImageF src = random_plane(9, 3, 3);
@@ -507,16 +617,14 @@ TEST(CanRunTest, ChecksDatapathTapsAndFixedFormats) {
 
 TEST(AutoSelectionTest, PicksCapableBackendPerRequest) {
   const tonemap::GaussianKernel kernel(16.0, 48);
-  ExecutorOptions opts;
-  const auto chosen = select_auto_backend(1024, 768, kernel, opts);
+  PlanRequest request{1024, 768, "auto"};
+  const auto chosen = Planner::global().plan(request, kernel).backend;
   ASSERT_NE(chosen, nullptr);
   EXPECT_TRUE(chosen->capabilities().float_datapath);
   EXPECT_TRUE(chosen->can_run(kernel, BlurContext{}));
   // A fixed-datapath request must never land on a float-only backend.
-  ExecutorOptions fixed_opts;
-  fixed_opts.use_fixed = true;
-  const auto fixed_choice =
-      select_auto_backend(1024, 768, kernel, fixed_opts);
+  request.datapath = PlanDatapath::fixed_point;
+  const auto fixed_choice = Planner::global().plan(request, kernel).backend;
   ASSERT_NE(fixed_choice, nullptr);
   EXPECT_TRUE(fixed_choice->capabilities().fixed_datapath);
 }
@@ -527,11 +635,11 @@ TEST(AutoSelectionTest, ThrowsWhenNoBackendIsCapable) {
   registry.register_backend("separable_float", [] {
     return std::make_shared<const SeparableFloatBackend>();
   });
-  ExecutorOptions opts;
-  opts.use_fixed = true;
-  EXPECT_THROW(select_auto_backend(64, 64, tonemap::GaussianKernel(1.0, 3),
-                                   opts, registry),
-               InvalidArgument);
+  PlanRequest request{64, 64, "auto"};
+  request.datapath = PlanDatapath::fixed_point;
+  EXPECT_THROW(
+      Planner(&registry).plan(request, tonemap::GaussianKernel(1.0, 3)),
+      InvalidArgument);
 }
 
 // --- Pipeline integration (what the CLI's --backend/--threads hit) --------
@@ -585,6 +693,26 @@ TEST(PipelineBackendTest, ThreadedFloatBackendsBitIdenticalToSingle) {
     EXPECT_TRUE(bit_identical(tonemap::tone_map(hdr, threaded).output,
                               tonemap::tone_map(hdr, opt).output))
         << name;
+  }
+}
+
+TEST(PipelineBackendTest, ThreadedToneMapMatchesSingleThreadPlaneByPlane) {
+  // The whole staged pipeline with its mask blur split into row bands:
+  // the mask plane, the output and the normalisation scale all match the
+  // single-thread run.
+  const img::ImageF hdr = random_hdr(33, 27, 41);
+  tonemap::PipelineOptions opt;
+  opt.sigma = 2.0;
+  opt.radius = 6;
+  opt.backend = "separable_simd";
+  const tonemap::PipelineResult golden = tonemap::tone_map(hdr, opt);
+  for (int threads : {3, 4}) {
+    tonemap::PipelineOptions threaded = opt;
+    threaded.threads = threads;
+    const tonemap::PipelineResult r = tonemap::tone_map(hdr, threaded);
+    EXPECT_TRUE(bit_identical(r.mask, golden.mask)) << threads;
+    EXPECT_TRUE(bit_identical(r.output, golden.output)) << threads;
+    EXPECT_EQ(r.input_max, golden.input_max) << threads;
   }
 }
 

@@ -153,9 +153,6 @@ TEST(FaultScenarioTest, StalledExecutorDeliversInjectedErrorThroughFuture) {
   // The fire budget is spent: the executor keeps serving normally.
   auto ok = async.submit({plane, kernel});
   EXPECT_NO_THROW(ok.get());
-  const exec::AsyncExecutorStats stats = async.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u); // errors still complete their futures
 }
 
 TEST(FaultScenarioTest, AllocationFailureAtAdmissionLeavesServiceHealthy) {

@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "exec/cost_model.hpp"
 #include "exec/executor.hpp"
+#include "exec/planner.hpp"
 #include "exec/registry.hpp"
 #include "serve/service.hpp"
 #include "tonemap/blur.hpp"
@@ -102,13 +103,22 @@ TEST(FusedBlurTest, BitIdenticalWhenRadiusDwarfsTheFrame) {
 }
 
 TEST(FusedBlurTest, BitIdenticalAtEveryThreadCount) {
-  const GaussianKernel kernel(3.0, 9);
-  const img::ImageF src = random_plane(61, 37, 11);
-  const img::ImageF golden = blur_separable_float(src, kernel);
-  for (int threads = 1; threads <= 7; ++threads) {
-    EXPECT_TRUE(bit_identical(blur_fused_stream(src, kernel, threads),
-                              golden))
-        << "threads=" << threads;
+  // 19x13 at radius 9 puts 4 bands of 3-4 rows under a 9-row halo: every
+  // band primes most of the frame and overlaps its neighbours.
+  struct Case {
+    int width, height, radius;
+  };
+  for (const Case& c :
+       std::initializer_list<Case>{{61, 37, 9}, {19, 13, 9}, {37, 29, 6}}) {
+    const GaussianKernel kernel(c.radius / 3.0, c.radius);
+    const img::ImageF src = random_plane(c.width, c.height, 11);
+    const img::ImageF golden = blur_separable_float(src, kernel);
+    for (int threads = 1; threads <= 7; ++threads) {
+      EXPECT_TRUE(bit_identical(blur_fused_stream(src, kernel, threads),
+                                golden))
+          << c.width << "x" << c.height << " r" << c.radius
+          << " threads=" << threads;
+    }
   }
   // More bands than rows: clamped, still identical.
   EXPECT_TRUE(bit_identical(
@@ -244,9 +254,9 @@ TEST(FusedBackendTest, AutoSelectionCanPickFusedStream) {
   ASSERT_GT(previous, 0.0);
   // Calibrate fused_stream as overwhelmingly fastest: auto must pick it.
   model.set_macs_per_second("fused_stream", 1e18);
-  const auto chosen =
-      exec::select_auto_backend(1024, 768, GaussianKernel(16.0, 48));
-  EXPECT_STREQ(chosen->name(), "fused_stream");
+  const exec::ExecutionPlan plan = exec::Planner::global().plan(
+      exec::PlanRequest{1024, 768, "auto"}, GaussianKernel(16.0, 48));
+  EXPECT_STREQ(plan.backend->name(), "fused_stream");
   model.set_macs_per_second("fused_stream", previous);
 }
 
@@ -280,7 +290,7 @@ TEST(FusedIntegrationTest, FramePipelineIsBitIdenticalAtEveryDepth) {
   }
 }
 
-TEST(FusedIntegrationTest, ServiceShardedBlurIsBitIdentical) {
+TEST(FusedIntegrationTest, ServiceMultiThreadJobsAreBitIdentical) {
   PipelineOptions opt;
   opt.sigma = 2.0;
   opt.radius = 6;
@@ -297,7 +307,7 @@ TEST(FusedIntegrationTest, ServiceShardedBlurIsBitIdentical) {
     serve::FrameJob job;
     job.frame = hdr;
     job.options = opt;
-    job.blur_shards = 3; // > 1: the shared-ExecutorPool sharded path
+    job.options.threads = 2 + i % 3; // 2, 3, 4: the fused engine's bands
     futures.push_back(service.submit(std::move(job)));
   }
   for (int i = 0; i < 6; ++i) {

@@ -8,6 +8,7 @@
 // CI) for the online feedback loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "exec/planner.hpp"
 #include "exec/registry.hpp"
 #include "exec/schedule_explorer.hpp"
+#include "tonemap/blur.hpp"
 #include "serve/service.hpp"
 #include "tonemap/kernel.hpp"
 #include "tonemap/pipeline.hpp"
@@ -61,6 +63,13 @@ img::ImageF random_hdr(int w, int h, std::uint64_t seed) {
 
 tonemap::GaussianKernel small_kernel() {
   return tonemap::GaussianKernel(2.0, 6); // 13 taps: every backend capable
+}
+
+/// What the planner turns a request for `threads` into on this host: the
+/// hardware thread count caps it (0 = unknown host, no cap).
+int host_clamped(int threads) {
+  const int host = static_cast<int>(std::thread::hardware_concurrency());
+  return host == 0 ? threads : std::min(threads, host);
 }
 
 // ---- CostModel: thread scaling, observations, revision ----------------
@@ -273,7 +282,7 @@ TEST(PlannerTest, NamedBackendPlansThatBackendAndClampsThreads) {
   const ExecutionPlan plan = planner.plan(request, small_kernel());
   ASSERT_NE(plan.backend, nullptr);
   EXPECT_STREQ(plan.backend->name(), "separable_float");
-  EXPECT_EQ(plan.threads, 3);
+  EXPECT_EQ(plan.threads, host_clamped(3));
   EXPECT_FALSE(plan.auto_selected);
   EXPECT_FALSE(plan.use_fixed);
   EXPECT_EQ(plan.model_revision, model.revision());
@@ -284,6 +293,47 @@ TEST(PlannerTest, NamedBackendPlansThatBackendAndClampsThreads) {
   const ExecutionPlan clamped = planner.plan(request, small_kernel());
   EXPECT_STREQ(clamped.backend->name(), "hlscode");
   EXPECT_EQ(clamped.threads, 1);
+}
+
+TEST(PlannerTest, ThreadsAreClampedToTheHostOnEveryBranch) {
+  // A request far beyond any host (the legacy wire thread hint allows 64)
+  // must not plan 64 threads per blur: named, auto and routed plans all
+  // cap at the hardware thread count, and the bits stay put.
+  const unsigned host = std::thread::hardware_concurrency();
+  if (host == 0) GTEST_SKIP() << "hardware_concurrency unknown: no clamp";
+  const int cap = static_cast<int>(host);
+  CostModel model;
+  Planner planner(nullptr, &model);
+  PlanRequest request;
+  request.width = 64;
+  request.height = 64;
+  request.threads = 64;
+
+  request.backend = "separable_float";
+  EXPECT_EQ(planner.plan(request, small_kernel()).threads, cap);
+  request.backend = "auto";
+  const ExecutionPlan ranked = planner.plan(request, small_kernel());
+  EXPECT_EQ(ranked.threads,
+            ranked.backend->capabilities().tiled_threads ? cap : 1);
+  RoutingTable table;
+  table.entries.push_back(
+      {geometry_bucket(64, 64), "separable_simd", 64, 0, 0.001});
+  planner.install_routing_table(table);
+  const ExecutionPlan routed = planner.plan(request, small_kernel());
+  ASSERT_TRUE(routed.from_routing_table);
+  EXPECT_EQ(routed.threads, cap);
+  // A request within the host is left alone.
+  planner.clear_routing_table();
+  request.backend = "separable_float";
+  request.threads = 1;
+  EXPECT_EQ(planner.plan(request, small_kernel()).threads, 1);
+
+  const img::ImageF plane = random_plane(64, 64, 5);
+  request.threads = 64;
+  EXPECT_TRUE(bit_identical(
+      planner.plan(request, small_kernel()).make_executor().blur(
+          plane, small_kernel()),
+      tonemap::blur_separable_float(plane, small_kernel())));
 }
 
 TEST(PlannerTest, DatapathContradictionsThrowLikeLegacyMakeExecutor) {
@@ -345,7 +395,7 @@ TEST(PlannerTest, RoutingTableDictatesAutoPlansForCoveredBuckets) {
   const ExecutionPlan routed = planner.plan(request, small_kernel());
   ASSERT_NE(routed.backend, nullptr);
   EXPECT_STREQ(routed.backend->name(), "separable_float");
-  EXPECT_EQ(routed.threads, 2);
+  EXPECT_EQ(routed.threads, host_clamped(2));
   EXPECT_EQ(routed.bands, 4);
   EXPECT_TRUE(routed.from_routing_table);
 

@@ -1,9 +1,8 @@
-// Tests for the in-process frame-serving layer: sharded_mask_blur's
-// bit-identity against the blocking executor blur across band counts and
-// backends, ToneMapService's bit-identity against the blocking tone_map()
-// at shard counts 1/2/4, session reuse across equal/mixed per-job options,
-// single-frame blur sharding, backpressure, the submit/future error
-// contract, and the service/pool statistics surface.
+// Tests for the in-process frame-serving layer: ToneMapService's
+// bit-identity against the blocking tone_map() at shard counts 1/2/4 and
+// at per-job thread counts, session reuse across equal/mixed per-job
+// options, backpressure, the submit/future error contract, and the
+// service/pool statistics surface.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,23 +14,14 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "exec/async.hpp"
 #include "exec/executor.hpp"
 #include "exec/registry.hpp"
 #include "serve/service.hpp"
-#include "serve/sharded_blur.hpp"
 #include "tonemap/frame_pipeline.hpp"
 #include "tonemap/pipeline.hpp"
 
 namespace tmhls::serve {
 namespace {
-
-img::ImageF random_plane(int w, int h, std::uint64_t seed) {
-  Rng rng(seed);
-  img::ImageF im(w, h, 1);
-  for (float& v : im.samples()) v = static_cast<float>(rng.uniform());
-  return im;
-}
 
 img::ImageF random_hdr(int w, int h, std::uint64_t seed) {
   Rng rng(seed);
@@ -75,77 +65,6 @@ tonemap::PipelineOptions small_options(const std::string& backend) {
   opt.radius = 6;
   opt.backend = backend;
   return opt;
-}
-
-// --- sharded_mask_blur ----------------------------------------------------
-
-TEST(ShardedBlurTest, BitIdenticalToBlockingBlurAcrossBandsAndBackends) {
-  for (const std::string& name : exec::BackendRegistry::global().names()) {
-    const tonemap::PipelineOptions opt = small_options(name);
-    const exec::PipelineExecutor executor = opt.make_executor(37, 29);
-    const tonemap::GaussianKernel kernel = opt.kernel();
-    const img::ImageF plane = random_plane(37, 29, 11);
-    const img::ImageF golden = executor.blur(plane, kernel);
-    for (int bands : {1, 2, 3, 4, 8}) {
-      exec::ExecutorPoolOptions po;
-      po.executors = 2;
-      exec::ExecutorPool pool(executor, po);
-      EXPECT_TRUE(bit_identical(
-          sharded_mask_blur(plane, kernel, pool, bands), golden))
-          << name << " bands " << bands;
-    }
-  }
-}
-
-TEST(ShardedBlurTest, HaloLargerThanBandStaysBitIdentical) {
-  // radius 9 with 4 bands over 13 rows: every band's halo spans most of
-  // the image and overlaps its neighbours — the stitching must still
-  // reproduce the whole-frame clamp behaviour exactly.
-  const exec::PipelineExecutor executor("separable_float");
-  const tonemap::GaussianKernel kernel(3.0, 9);
-  const img::ImageF plane = random_plane(19, 13, 23);
-  exec::ExecutorPool pool(executor, {});
-  EXPECT_TRUE(bit_identical(sharded_mask_blur(plane, kernel, pool, 4),
-                            executor.blur(plane, kernel)));
-}
-
-TEST(ShardedBlurTest, MoreBandsThanRowsClampsToRows) {
-  const exec::PipelineExecutor executor("separable_float");
-  const tonemap::GaussianKernel kernel(1.5, 4);
-  const img::ImageF plane = random_plane(9, 3, 31);
-  exec::ExecutorPool pool(executor, {});
-  EXPECT_TRUE(bit_identical(sharded_mask_blur(plane, kernel, pool, 16),
-                            executor.blur(plane, kernel)));
-}
-
-TEST(ShardedBlurTest, RejectsBadArguments) {
-  const exec::PipelineExecutor executor("separable_float");
-  exec::ExecutorPool pool(executor, {});
-  const tonemap::GaussianKernel kernel(1.5, 4);
-  EXPECT_THROW(sharded_mask_blur(img::ImageF(), kernel, pool, 2),
-               InvalidArgument);
-  EXPECT_THROW(
-      sharded_mask_blur(random_hdr(8, 8, 1), kernel, pool, 2),
-      InvalidArgument); // 3-channel: not an intensity plane
-  EXPECT_THROW(sharded_mask_blur(random_plane(8, 8, 1), kernel, pool, 0),
-               InvalidArgument);
-}
-
-TEST(ShardedBlurTest, ToneMapShardedMatchesBlockingToneMap) {
-  const tonemap::PipelineOptions opt = small_options("separable_simd");
-  const img::ImageF frame = random_hdr(33, 27, 41);
-  const tonemap::PipelineResult golden = tonemap::tone_map(frame, opt);
-  exec::ExecutorPoolOptions po;
-  po.executors = 2;
-  exec::ExecutorPool pool(
-      opt.make_executor(frame.width(), frame.height()), po);
-  for (int bands : {1, 3, 4}) {
-    const tonemap::PipelineResult r =
-        tone_map_sharded(frame, opt, pool, bands);
-    EXPECT_TRUE(bit_identical(r.output, golden.output)) << bands;
-    EXPECT_TRUE(bit_identical(r.mask, golden.mask)) << bands;
-    EXPECT_EQ(r.input_max, golden.input_max) << bands;
-  }
 }
 
 // --- ToneMapService: bit-identity -----------------------------------------
@@ -192,9 +111,10 @@ TEST_P(ServiceShardCountTest, BitIdenticalToBlockingToneMapAcrossBackends) {
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ServiceShardCountTest,
                          ::testing::Values(1, 2, 4));
 
-TEST(ServiceTest, ShardedJobsBitIdenticalToBlockingToneMap) {
-  // One oversized frame sharded across executors must produce the exact
-  // blocking bits, whichever backend runs the bands.
+TEST(ServiceTest, MultiThreadJobsBitIdenticalToBlockingToneMap) {
+  // One oversized frame split into row bands (options.threads) must
+  // produce the exact single-thread blocking bits, whichever backend runs
+  // the bands.
   const img::ImageF frame = random_hdr(41, 37, 71);
   ToneMapServiceOptions so;
   so.shards = 1;
@@ -204,14 +124,14 @@ TEST(ServiceTest, ShardedJobsBitIdenticalToBlockingToneMap) {
         std::string("streaming_fixed"), std::string("hlscode")}) {
     const tonemap::PipelineOptions opt = small_options(name);
     const img::ImageF golden = tonemap::tone_map(frame, opt).output;
-    for (int blur_shards : {2, 4}) {
+    for (int threads : {2, 3, 4}) {
       FrameJob job;
       job.frame = frame;
       job.options = opt;
-      job.blur_shards = blur_shards;
+      job.options.threads = threads;
       EXPECT_TRUE(
           bit_identical(service.submit(std::move(job)).get().output, golden))
-          << name << " blur_shards " << blur_shards;
+          << name << " threads " << threads;
     }
   }
 }
@@ -312,12 +232,8 @@ TEST(ServiceTest, StructurallyInvalidJobsThrowAtSubmit) {
   EXPECT_THROW(service.submit({}), InvalidArgument); // empty frame
   FrameJob job;
   job.frame = random_hdr(9, 9, 5);
-  job.blur_shards = 0;
+  job.deadline_seconds = -1.0;
   EXPECT_THROW(service.submit(std::move(job)), InvalidArgument);
-  FrameJob runaway;
-  runaway.frame = random_hdr(9, 9, 5);
-  runaway.blur_shards = kMaxBlurShards + 1; // would be a thread-spawn storm
-  EXPECT_THROW(service.submit(std::move(runaway)), InvalidArgument);
 }
 
 TEST(ServiceTest, ExecutionErrorsArriveThroughTheFutureAndShardContinues) {
@@ -334,20 +250,20 @@ TEST(ServiceTest, ExecutionErrorsArriveThroughTheFutureAndShardContinues) {
   tonemap::PipelineOptions unknown = small_options("no_such_backend");
   std::future<FrameResult> unknown_backend = service.submit(job_of(frame, unknown));
 
-  // A bad sharded job fails through the future too.
-  FrameJob bad_sharded;
-  bad_sharded.frame = frame;
-  bad_sharded.options = bad;
-  bad_sharded.blur_shards = 2;
-  std::future<FrameResult> failing_sharded =
-      service.submit(std::move(bad_sharded));
+  // A bad multi-thread job fails through the future too.
+  FrameJob bad_threaded;
+  bad_threaded.frame = frame;
+  bad_threaded.options = bad;
+  bad_threaded.options.threads = 2;
+  std::future<FrameResult> failing_threaded =
+      service.submit(std::move(bad_threaded));
 
   const tonemap::PipelineOptions good = small_options("separable_float");
   std::future<FrameResult> ok = service.submit(job_of(frame, good));
 
   EXPECT_THROW(failing.get(), InvalidArgument);
   EXPECT_THROW(unknown_backend.get(), InvalidArgument);
-  EXPECT_THROW(failing_sharded.get(), InvalidArgument);
+  EXPECT_THROW(failing_threaded.get(), InvalidArgument);
   EXPECT_TRUE(bit_identical(ok.get().output,
                             tonemap::tone_map(frame, good).output));
   const ServiceStats stats = service.stats();

@@ -4,6 +4,7 @@
 // with four streams driven concurrently); the reorder-window semantics
 // (gap skip, late-arrival expiry, flow-control exhaustion) and the
 // frames_submitted == delivered + shed + expired balance they must keep;
+// service times that cover a depth-1 frame's compute;
 // the deterministic rate-controller contract (one switch per sweep under
 // 2x overload for standard, shed-as-a-unit for best_effort, immovable
 // critical, hysteresis against flapping); bit-identity of the degraded
@@ -135,6 +136,26 @@ TEST(StreamSessionTest, ByteIdenticalToVideoToneMapperAcrossBackends) {
       }
     }
   }
+}
+
+TEST(StreamSessionTest, ServiceSecondsIncludeTheFramesCompute) {
+  // At depth 1 submit() computes the whole frame, so the frame's service
+  // time — and the rate controller's estimate fed from it — must cover
+  // that compute: a 256x192 frame through a 97-tap blur takes
+  // milliseconds, not the microseconds of the bookkeeping around it.
+  StreamConfig sc = quiet_config("separable_float", 256, 192);
+  sc.pipeline.sigma = 16.0;
+  sc.pipeline.radius = 48;
+  sc.pipeline_depth = 1;
+  sc.measure_service = true;
+  SessionManager manager;
+  const std::uint64_t id = manager.open(sc);
+  const std::vector<StreamFrameResult> results =
+      manager.submit_frame(id, 0, random_hdr(256, 192, 5)).results;
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_GE(results[0].service_seconds, 1e-3);
+  EXPECT_GE(manager.stream_stats(id).estimated_service_seconds, 1e-3);
+  manager.close(id);
 }
 
 TEST(StreamSessionTest, ShuffledArrivalWithinWindowDeliversInOrder) {

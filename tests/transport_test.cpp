@@ -11,6 +11,7 @@
 // reads, failed sends) closing only the connection they hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -93,7 +94,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 TEST(WireTest, RequestRoundTripPreservesEveryField) {
   wire::Request request;
   request.request_id = 0xDEADBEEF12345678ull;
-  request.job.blur_shards = 4;
   request.job.qos = serve::QosClass::best_effort;
   request.job.deadline_seconds = 0.25;
   tonemap::PipelineOptions& opt = request.job.options;
@@ -126,7 +126,6 @@ TEST(WireTest, RequestRoundTripPreservesEveryField) {
 
   const wire::Request decoded = wire::decode_request(payload);
   EXPECT_EQ(decoded.request_id, request.request_id);
-  EXPECT_EQ(decoded.job.blur_shards, request.job.blur_shards);
   EXPECT_EQ(decoded.job.qos, serve::QosClass::best_effort);
   EXPECT_EQ(decoded.job.deadline_seconds, 0.25);
   EXPECT_EQ(decoded.job.options, request.job.options); // field-wise
@@ -363,9 +362,9 @@ TEST(WireTest, StreamDecodersRejectTrailingBytesAndUnknownStatus) {
 
 TEST(WireTest, RequestDecodeRejectsMalformedDeadlineEncodings) {
   const std::vector<std::uint8_t> message =
-      wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
-  // Payload layout: u64 id, u32 blur_shards, u8 qos, u8 deadline flag,
-  // f64 deadline value.
+      wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
+  // Payload layout: u64 id, u32 legacy thread hint (blur_shards), u8 qos,
+  // u8 deadline flag, f64 deadline value.
   const std::size_t flag_at = wire::kHeaderBytes + 8 + 4 + 1;
   auto decode_mutated = [&](auto mutate) {
     std::vector<std::uint8_t> bytes = message;
@@ -441,7 +440,7 @@ TEST(WireTest, RequestDecodeRejectsOversizedDimensionsWithoutAllocating) {
   // declared-vs-available check before any allocation happens.
   std::vector<std::uint8_t> payload;
   put_u64(payload, 7); // request id
-  put_u32(payload, 1); // blur_shards
+  put_u32(payload, 1); // legacy thread hint (blur_shards)
   payload.push_back(1); // qos: standard
   payload.push_back(0); // deadline flag: none
   put_u64(payload, 0);  // deadline f64: must be 0.0 when the flag is 0
@@ -567,10 +566,55 @@ TEST(WireTest, RejectedPayloadsNeverLeakPooledPlanes) {
 TEST(WireTest, EncodeRequestRejectsStructurallyInvalidJobs) {
   wire::Request empty_frame;
   EXPECT_THROW(wire::encode_request(empty_frame), InvalidArgument);
-  wire::Request bad_shards;
-  bad_shards.job.frame = random_hdr(4, 4, 1);
-  bad_shards.job.blur_shards = serve::kMaxBlurShards + 1;
-  EXPECT_THROW(wire::encode_request(bad_shards), InvalidArgument);
+  wire::Request bad_deadline;
+  bad_deadline.job.frame = random_hdr(4, 4, 1);
+  bad_deadline.job.deadline_seconds = -1.0;
+  EXPECT_THROW(wire::encode_request(bad_deadline), InvalidArgument);
+}
+
+// The u32 after the request id is the retired blur_shards field, kept as
+// a legacy thread hint: a request message with the slot set to `hint`,
+// re-checksummed so it frames like one from an old client.
+std::vector<std::uint8_t> with_legacy_thread_hint(
+    const wire::Request& request, std::uint32_t hint) {
+  std::vector<std::uint8_t> message = wire::encode_request(request);
+  const std::size_t slot = wire::kHeaderBytes + 8;
+  for (int i = 0; i < 4; ++i) {
+    message[slot + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((hint >> (8 * i)) & 0xffu);
+  }
+  wire::Header header = wire::decode_header(
+      std::span<const std::uint8_t>(message).first(wire::kHeaderBytes));
+  header.checksum = wire::checksum(
+      std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
+  const auto head = wire::encode_header(header);
+  std::copy(head.begin(), head.end(), message.begin());
+  return message;
+}
+
+TEST(WireTest, LegacyThreadHintFoldsIntoThreadsAndKeepsTheBits) {
+  wire::Request request;
+  request.job.frame = random_hdr(23, 19, 9);
+  request.job.options = small_options("separable_float");
+  auto decode = [](const std::vector<std::uint8_t>& message) {
+    return wire::decode_request(
+        std::span<const std::uint8_t>(message).subspan(wire::kHeaderBytes));
+  };
+  // Encoders write 1, which leaves the options' own thread count alone.
+  EXPECT_EQ(decode(wire::encode_request(request)).job.options.threads, 1);
+
+  const wire::Request legacy = decode(with_legacy_thread_hint(request, 4));
+  EXPECT_EQ(legacy.job.options.threads, 4);
+  EXPECT_TRUE(bit_identical(
+      tonemap::tone_map(legacy.job.frame, legacy.job.options).output,
+      tonemap::tone_map(request.job.frame, request.job.options).output));
+  // The hint only ever raises the thread count.
+  request.job.options.threads = 7;
+  EXPECT_EQ(decode(with_legacy_thread_hint(request, 4)).job.options.threads,
+            7);
+  // Outside [1, 64] is still a protocol violation.
+  EXPECT_THROW((void)decode(with_legacy_thread_hint(request, 0)), WireError);
+  EXPECT_THROW((void)decode(with_legacy_thread_hint(request, 65)), WireError);
 }
 
 // --- loopback end-to-end ---------------------------------------------------
@@ -641,7 +685,7 @@ TEST(TransportLoopbackTest, PipelinedSubmitsCorrelateByRequestId) {
   }
 }
 
-TEST(TransportLoopbackTest, BlurShardedJobsStayByteIdentical) {
+TEST(TransportLoopbackTest, MultiThreadJobsStayByteIdentical) {
   Server server(small_server(1));
   const tonemap::PipelineOptions opt = small_options("separable_float");
   const img::ImageF frame = random_hdr(41, 37, 71);
@@ -649,9 +693,30 @@ TEST(TransportLoopbackTest, BlurShardedJobsStayByteIdentical) {
   serve::FrameJob job;
   job.frame = frame;
   job.options = opt;
-  job.blur_shards = 3;
+  job.options.threads = 3;
   EXPECT_TRUE(bit_identical(client.call(std::move(job)).output,
                             tonemap::tone_map(frame, opt).output));
+}
+
+TEST(TransportLoopbackTest, LegacyThreadHintRequestReturnsBlockingBytes) {
+  // An old client's request with the blur_shards slot set to 4: the
+  // server runs it at 4 threads and answers with the blocking bytes.
+  Server server(small_server(1));
+  wire::Request request;
+  request.request_id = 5;
+  request.job.frame = random_hdr(41, 37, 73);
+  request.job.options = small_options("separable_simd");
+  Socket socket = Socket::connect("127.0.0.1", server.port());
+  ASSERT_EQ(socket.send_all(with_legacy_thread_hint(request, 4)),
+            SendStatus::ok);
+  InboundMessage reply;
+  ASSERT_EQ(read_message(socket, reply), ReadMessageStatus::ok);
+  ASSERT_EQ(reply.header.type, wire::MessageType::response);
+  const wire::Response response = wire::decode_response(reply.payload);
+  EXPECT_EQ(response.request_id, 5u);
+  EXPECT_TRUE(bit_identical(
+      response.result.output,
+      tonemap::tone_map(request.job.frame, request.job.options).output));
 }
 
 TEST(TransportLoopbackTest, SmallServerWindowStillCompletesPipelinedLoad) {
@@ -737,7 +802,7 @@ TEST(TransportMalformedTest, MalformedStreamsCloseOnlyTheirConnection) {
   {
     SCOPED_TRACE("truncated header");
     const std::vector<std::uint8_t> good =
-        wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+        wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
     expect_connection_rejected(
         port, std::vector<std::uint8_t>(good.begin(), good.begin() + 7));
     ++expected_protocol_errors;
@@ -745,7 +810,7 @@ TEST(TransportMalformedTest, MalformedStreamsCloseOnlyTheirConnection) {
   {
     SCOPED_TRACE("truncated payload");
     const std::vector<std::uint8_t> good =
-        wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+        wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
     expect_connection_rejected(
         port,
         std::vector<std::uint8_t>(good.begin(), good.end() - 5));
@@ -754,7 +819,7 @@ TEST(TransportMalformedTest, MalformedStreamsCloseOnlyTheirConnection) {
   {
     SCOPED_TRACE("bad checksum");
     std::vector<std::uint8_t> corrupted =
-        wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+        wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
     corrupted.back() ^= 0x40;
     expect_connection_rejected(port, corrupted);
     ++expected_protocol_errors;
@@ -1030,7 +1095,7 @@ TEST(TransportResilienceTest, ShortReadMidMessageClosesTheConnection) {
 
   Socket socket = Socket::connect("127.0.0.1", server.port());
   const std::vector<std::uint8_t> message =
-      wire::encode_request({0, {random_hdr(4, 3, 1), {}, 1, {}, {}}});
+      wire::encode_request({0, {random_hdr(4, 3, 1), {}, {}, {}}});
   ASSERT_EQ(socket.send_all(message), SendStatus::ok);
   for (int i = 0; i < 500; ++i) {
     if (fault::stats("transport.socket.recv").fires == 1) break;

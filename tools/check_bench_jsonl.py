@@ -57,9 +57,8 @@ SERVING_MODE_KEYS = {
     "jobs": [
         "shards", "jobs_total", "taps", "jobs_per_s", "speedup_vs_1shard",
     ],
-    "sharded_frame": [
-        "jobs_total", "taps", "jobs_per_s", "speedup_vs_1shard",
-        "blur_shards",
+    "frame_threads": [
+        "jobs_total", "taps", "jobs_per_s", "speedup_vs_1thread",
     ],
     "overload": [
         "shards", "offered_multiplier", "offered", "accepted", "shed",
@@ -194,6 +193,18 @@ SELF_TEST_CASES = [
      '"latency_p99_ms":60.1,"speedup_vs_1shard":1.0,"allocs_per_job":0.5,'
      '"pool_hit_rate":0.9}',
      True, "complete serving jobs record"),
+    ('{"bench":"serving","mode":"frame_threads",'
+     '"backend":"separable_simd","threads":4,"jobs_total":2,"width":512,'
+     '"height":512,"taps":97,"seconds_total":0.1,"jobs_per_s":20.0,'
+     '"latency_p50_ms":45.0,"latency_p99_ms":50.0,"speedup_vs_1thread":1.3,'
+     '"allocs_per_job":4.0,"pool_hit_rate":0.5}',
+     True, "complete serving frame_threads record"),
+    ('{"bench":"serving","mode":"frame_threads",'
+     '"backend":"separable_simd","threads":4,"jobs_total":2,"width":512,'
+     '"height":512,"taps":97,"seconds_total":0.1,"jobs_per_s":20.0,'
+     '"latency_p50_ms":45.0,"latency_p99_ms":50.0,"allocs_per_job":4.0,'
+     '"pool_hit_rate":0.5}',
+     False, "frame_threads record missing speedup_vs_1thread"),
     ('{"bench":"serving","mode":"overload","backend":"separable_simd",'
      '"threads":1,"shards":2,"offered_multiplier":2,"offered":16,'
      '"accepted":12,"shed":4,"degraded":3,"expired":2,"completed":10,'

@@ -14,7 +14,7 @@
 //                            [--pipeline-depth D] [--backend B] [--threads N]
 //   serve                   [--shards N] [--clients C] [--jobs J]
 //                            [--size N] [--queue Q] [--pipeline-depth D]
-//                            [--blur-shards S] [--backend B] [--threads N]
+//                            [--backend B] [--threads N]
 //                            [--kind K] [--seed N]
 //                            [--qos best_effort|standard|critical]
 //                            [--deadline S] [--assumed-service S]
@@ -22,7 +22,7 @@
 //                             0 disables pooling)
 //                            [--listen PORT [--window W] [--max-connections M]]
 //   client                  --port PORT [--host H] [--jobs J] [--size N]
-//                            [--window W] [--blur-shards S] [--backend B]
+//                            [--window W] [--backend B]
 //                            [--threads N] [--kind K] [--seed N]
 //                            [--connect-timeout S] [--no-check]
 //                            [--qos best_effort|standard|critical]
@@ -327,12 +327,15 @@ int cmd_backends(const Args& args) {
                std::to_string(caps.simd_lanes), est, buffer, traffic});
   }
   std::cout << t.render();
-  const auto choice =
-      exec::select_auto_backend(width, height, kernel, eopts);
+  popt.backend = "auto";
+  popt.threads = eopts.threads;
+  if (eopts.use_fixed) popt.datapath = tonemap::Datapath::fixed_point;
+  const exec::ExecutionPlan choice = popt.plan(width, height);
   std::cout << "\nestimates for " << width << "x" << height << ", "
             << kernel.taps() << " taps, " << eopts.threads
-            << " thread(s); '--backend auto' would pick: " << choice->name()
-            << "\n";
+            << " thread(s); '--backend auto' would pick: "
+            << choice.backend->name() << " on " << choice.threads
+            << " thread(s)\n";
   return 0;
 }
 
@@ -711,7 +714,6 @@ int cmd_client(const Args& args) {
   const int jobs = args.get_int("jobs", 8);
   const int size = args.get_int("size", 192);
   const int window = args.get_int("window", 4);
-  const int blur_shards = args.get_int("blur-shards", 1);
   TMHLS_REQUIRE(jobs >= 1 && size >= 1 && window >= 1,
                 "--jobs, --size and --window must be positive");
   const bool check = !args.has("no-check");
@@ -774,7 +776,6 @@ int cmd_client(const Args& args) {
     serve::FrameJob job;
     job.frame = frames[static_cast<std::size_t>(j)];
     job.options = popt;
-    job.blur_shards = blur_shards;
     job.qos = qos;
     // Flag-level convention: --deadline 0 (the default) means "no
     // deadline" and leaves FrameJob::deadline_seconds disengaged.
@@ -811,11 +812,11 @@ int cmd_client(const Args& args) {
     }
   }
 
-  TextTable t({"jobs", "size", "backend", "window", "blur shards",
+  TextTable t({"jobs", "size", "backend", "window", "threads",
                "total (s)", "jobs/s", "p50 (ms)", "p99 (ms)",
                "queue p50 (ms)"});
   t.add_row({std::to_string(jobs), std::to_string(size), backend_used,
-             std::to_string(window), std::to_string(blur_shards),
+             std::to_string(window), std::to_string(popt.threads),
              format_fixed(total_s, 3),
              total_s > 0.0 ? format_fixed(jobs / total_s, 2) : "-",
              latencies.empty()
@@ -853,7 +854,6 @@ int cmd_serve(const Args& args) {
   const int clients = args.get_int("clients", 4);
   const int jobs = args.get_int("jobs", 8); // per client
   const int size = args.get_int("size", 192);
-  const int blur_shards = args.get_int("blur-shards", 1);
   TMHLS_REQUIRE(clients >= 1 && jobs >= 1 && size >= 1,
                 "--clients, --jobs and --size must be positive");
   const io::SceneKind kind =
@@ -917,7 +917,6 @@ int cmd_serve(const Args& args) {
           serve::FrameJob job;
           job.frame = frame;
           job.options = popt;
-          job.blur_shards = blur_shards;
           job.qos = qos;
           // --deadline 0 (default): no deadline, optional stays disengaged.
           if (deadline > 0.0) job.deadline_seconds = deadline;
@@ -969,7 +968,6 @@ int cmd_serve(const Args& args) {
   serve::FrameJob check;
   check.frame = check_frame;
   check.options = popt;
-  check.blur_shards = blur_shards;
   const img::ImageF served = service.submit(std::move(check)).get().output;
   const bool identical =
       blocking.same_shape(served) &&
@@ -983,11 +981,11 @@ int cmd_serve(const Args& args) {
   const int total_jobs = clients * jobs;
 
   TextTable t({"shards", "clients", "jobs", "size", "backend", "depth",
-               "blur shards", "total (s)", "jobs/s", "p50 (ms)", "p99 (ms)",
+               "threads", "total (s)", "jobs/s", "p50 (ms)", "p99 (ms)",
                "queue p50 (ms)"});
   t.add_row({std::to_string(shards), std::to_string(clients),
              std::to_string(total_jobs), std::to_string(size), backend_used,
-             std::to_string(so.pipeline_depth), std::to_string(blur_shards),
+             std::to_string(so.pipeline_depth), std::to_string(popt.threads),
              format_fixed(total_s, 3),
              total_s > 0.0 ? format_fixed(total_jobs / total_s, 2) : "-",
              all.empty() ? "-"
@@ -1149,15 +1147,15 @@ void usage() {
       "  serve                drive a synthetic multi-client workload\n"
       "                       through the in-process serving layer\n"
       "                       (--shards, --clients, --jobs, --size,\n"
-      "                       --queue, --pipeline-depth, --blur-shards,\n"
-      "                       --backend, --threads) and print a\n"
+      "                       --queue, --pipeline-depth, --backend,\n"
+      "                       --threads) and print a\n"
       "                       throughput/latency table; with --listen PORT\n"
       "                       serve framed jobs over loopback TCP instead\n"
       "                       (--window bounds per-connection pipelining;\n"
       "                       SIGINT/SIGTERM drains and exits)\n"
       "  client               submit synthetic frames to a `serve --listen`\n"
       "                       server (--port, --host, --jobs, --size,\n"
-      "                       --window, --blur-shards, --backend,\n"
+      "                       --window, --backend, --threads,\n"
       "                       --connect-timeout, --no-check); verifies\n"
       "                       responses byte-for-byte against the local\n"
       "                       blocking pipeline and prints the\n"
